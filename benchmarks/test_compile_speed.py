@@ -3,8 +3,8 @@
 This is the one benchmark allowed to read the wall clock (enforced by
 ``tests/test_no_wall_clock.py``): its whole job is to measure the real
 compile-time effect of the temporal memo, the persistent schedule store,
-the parallel fan-out, and the vectorized functional simulator — while
-asserting every fast path returns exactly the sequential result.
+and the vectorized functional simulator — while asserting every fast
+path returns exactly the plain search's result.
 
 Saved as ``benchmarks/out/BENCH_compile.json``.  Two depths:
 
@@ -26,7 +26,6 @@ from conftest import OUT_DIR
 from repro.compiler import (
     ScheduleSearch,
     compile_schedule,
-    parallel_schedule_network,
     schedule_layer,
     schedule_network,
 )
@@ -97,15 +96,7 @@ def _bench_network(network, config, store_root) -> dict:
     warm = [warm_cache.schedule(l) for l in network.accelerated_layers()]
     t_warm = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    fanned = parallel_schedule_network(network, config, max_workers=2)
-    t_parallel = time.perf_counter() - t0
-
-    identical = (
-        _identical(baseline, cold)
-        and _identical(baseline, warm)
-        and _identical(baseline, fanned)
-    )
+    identical = _identical(baseline, cold) and _identical(baseline, warm)
     assert identical, f"{network.name}: fast paths diverged from baseline"
     warm_speedup = t_baseline / t_warm if t_warm > 0 else float("inf")
     assert warm_speedup >= WARM_SPEEDUP_FLOOR, (
@@ -127,7 +118,6 @@ def _bench_network(network, config, store_root) -> dict:
         "t_baseline_s": round(t_baseline, 4),
         "t_cold_store_s": round(t_cold, 4),
         "t_warm_store_s": round(t_warm, 4),
-        "t_parallel_s": round(t_parallel, 4),
         "warm_speedup": round(warm_speedup, 1),
         "memo_hit_rate": round(memo.hit_rate, 4),
         "memory_hit_rate": round(warm_stats.hit_rate, 4),

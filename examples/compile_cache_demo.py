@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""The compile fast path, end to end: memo, disk store, parallel fan-out.
+"""The compile fast path, end to end: temporal memo and disk store.
 
-Compiles SmallCNN four ways and shows they are byte-for-byte identical
+Compiles SmallCNN three ways and shows they are byte-for-byte identical
 while getting progressively cheaper:
 
 1. **baseline** — plain sequential search, nothing shared;
@@ -11,9 +11,7 @@ while getting progressively cheaper:
 3. **persistent store** — schedules round-trip through an on-disk
    content-addressed store, so a process restart loads instead of
    searching (the recorded step charge is replayed, keeping traces
-   identical warm or cold);
-4. **parallel fan-out** — independent layer searches spread over a
-   multiprocessing pool and merge deterministically.
+   identical warm or cold).
 
 Also flips the cycle simulator between its two functional engines —
 the per-MACC reference datapath walk and the vectorized NumPy lattice
@@ -28,11 +26,7 @@ import tempfile
 
 import numpy as np
 
-from repro.compiler import (
-    compile_schedule,
-    parallel_schedule_network,
-    schedule_network,
-)
+from repro.compiler import compile_schedule, schedule_network
 from repro.compiler.cache import ScheduleCache
 from repro.compiler.memo import TemporalMemo
 from repro.compiler.persist import PersistentScheduleStore
@@ -73,14 +67,10 @@ def main() -> None:
         warm_schedules = [warm.schedule(layer) for layer in layers]
         print(f"warm start : {warm.describe()}")
 
-        # 4. Parallel fan-out (falls back in-process when pools are
-        #    unavailable — results are identical either way).
-        fanned = parallel_schedule_network(network, config, max_workers=4)
-
-    for a, b, c, d in zip(baseline, cold_schedules, warm_schedules, fanned):
-        assert a.mapping == b.mapping == c.mapping == d.mapping
-        assert a.estimate == b.estimate == c.estimate == d.estimate
-    print("all four compile paths returned identical schedules")
+    for a, b, c in zip(baseline, cold_schedules, warm_schedules):
+        assert a.mapping == b.mapping == c.mapping
+        assert a.estimate == b.estimate == c.estimate
+    print("all three compile paths returned identical schedules")
 
     # Functional engines: reference datapath walk vs vectorized lattice.
     layer = layers[0]

@@ -30,7 +30,6 @@ from repro.compiler.hwsearch import HardwareSearchResult, search_hardware_config
 from repro.compiler.codegen import compile_schedule, compile_network, CompiledLayer, NetworkProgram
 from repro.compiler.cache import CacheStats, ScheduleCache
 from repro.compiler.persist import PersistentScheduleStore
-from repro.compiler.parallel import parallel_schedule_network
 from repro.compiler.residency import ResidencyPlan, plan_residency
 from repro.compiler.randsearch import random_schedule_search
 
@@ -50,7 +49,6 @@ __all__ = [
     "ceil_tile_candidates",
     "schedule_layer",
     "schedule_network",
-    "parallel_schedule_network",
     "HardwareSearchResult",
     "search_hardware_config",
     "compile_schedule",

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from repro.compiler.memo import TemporalMemo
-from repro.compiler.search import Schedule, ScheduleSearch
+from repro.compiler.search import Schedule, ScheduleSearch, check_beam
 from repro.errors import ScheduleError
 from repro.overlay.config import OverlayConfig
 from repro.trace.metrics import MetricsRegistry, as_metrics
@@ -132,6 +132,10 @@ class ScheduleCache:
             conformance harness's budget mode uses this).
         temporal_beam: Optional override of the search's temporal beam
             width; same semantics as ``spatial_beam``.
+
+    Raises:
+        ScheduleError: if ``max_entries`` is below 1, or a beam override
+            is neither None nor at least 1.
     """
 
     _SEARCH_DEFAULT = object()
@@ -162,10 +166,11 @@ class ScheduleCache:
             temporal_memo if temporal_memo is not None else TemporalMemo()
         )
         self._beam_kwargs: dict[str, int | None] = {}
-        if spatial_beam is not ScheduleCache._SEARCH_DEFAULT:
-            self._beam_kwargs["spatial_beam"] = spatial_beam
-        if temporal_beam is not ScheduleCache._SEARCH_DEFAULT:
-            self._beam_kwargs["temporal_beam"] = temporal_beam
+        for name, width in (("spatial_beam", spatial_beam),
+                            ("temporal_beam", temporal_beam)):
+            if width is not ScheduleCache._SEARCH_DEFAULT:
+                check_beam(name, width)
+                self._beam_kwargs[name] = width
         self._cache: OrderedDict[tuple, Schedule] = OrderedDict()
         self._step_base = 0
         self.misses = 0
@@ -177,10 +182,6 @@ class ScheduleCache:
         return len(self._cache)
 
     # ------------------------------------------------------------------ #
-    def cached(self, layer: AcceleratedLayer) -> bool:
-        """Whether the in-memory map already holds this layer's shape."""
-        return layer_signature(layer) in self._cache
-
     def _insert(self, key: tuple, schedule: Schedule) -> None:
         self._cache[key] = schedule
         if self.max_entries is not None and len(self._cache) > self.max_entries:
@@ -230,26 +231,6 @@ class ScheduleCache:
         ).inc()
         self._insert(layer_signature(layer), schedule)
         return True
-
-    def adopt(self, layer: AcceleratedLayer, schedule: Schedule,
-              steps: int = 0) -> None:
-        """Insert an externally-computed schedule (e.g. a pool worker's).
-
-        Counts as a miss (the shape was compiled, just not here), replays
-        the worker's step charge, and writes through to the store.
-        """
-        if schedule.config != self.config or schedule.objective != self.objective:
-            raise ScheduleError(
-                "adopted schedule was compiled for a different cache context"
-            )
-        self.misses += 1
-        self._step_base += steps
-        self.metrics.counter(
-            "schedule_cache_misses", "schedule lookups that compiled"
-        ).inc()
-        self._insert(layer_signature(layer), schedule)
-        if self.store is not None:
-            self.store.save(schedule, steps=steps)
 
     # ------------------------------------------------------------------ #
     def schedule(self, layer: AcceleratedLayer) -> Schedule:

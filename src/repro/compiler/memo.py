@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 from repro.errors import ScheduleError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle with search.py
-    from repro.compiler.search import _TemporalCombo
+    from repro.compiler.search import _ComboTable
 
 
 @dataclass(frozen=True)
@@ -41,12 +41,13 @@ class MemoEntry:
     """One memoized temporal enumeration plus its replay accounting.
 
     Attributes:
-        combos: The (T, L, X) combos, in enumeration order.
+        combos: The (T, L, X) combos as one column table, in enumeration
+            order.
         steps: Step-clock charge of the original enumeration.
         pruned: Capacity prunes the original enumeration counted.
     """
 
-    combos: tuple["_TemporalCombo", ...]
+    combos: "_ComboTable"
     steps: int
     pruned: int
 
@@ -97,7 +98,7 @@ class TemporalMemo:
         self,
         context: tuple,
         rem: tuple[int, ...],
-        combos: tuple["_TemporalCombo", ...],
+        combos: "_ComboTable",
         steps: int,
         pruned: int,
     ) -> None:

@@ -9,30 +9,40 @@ Enumeration strategy (kept exhaustive over the *structured* space):
 
 1. **Spatial** — per level (D1, D2, D3), enumerate per-loop tile sizes
    from the ceiling-divisor lattice of each loop's trip count, bounded by
-   the level's resource cap (Eqn 10).  Joint spatial choices are ranked by
-   TPE utilization and padding so a configurable beam keeps the search
+   the level's resource cap (Eqn 10).  Each level's positional tiles are
+   built once as an ``(n, K)`` matrix; the ``n1·n2·n3`` joint choices are
+   ranked by TPE utilization and padding over broadcast
+   ``(n1,1,1)×(1,n2,1)×(1,1,n3)`` arrays with a stable lexsort, and only
+   the beam's tile rows are gathered.  The beam keeps the search
    tractable without losing the high-performance region.
 2. **Temporal** — for each spatial choice's per-loop remainders, enumerate
    LoopT tiles under the ActBUF capacity, then LoopL tiles (adjacency-
    restricted) under the PSumBUF/WBUF capacities.  LoopX is then *forced*:
    the minimal cover of each loop's remainder (Eqn 11), which is always
-   optimal because X is unconstrained and outermost.  Temporal combos are
-   memoized per remainder vector — spatial twins share them.
+   optimal because X is unconstrained and outermost.  The lattices are
+   expanded level by level, in the lexicographic order of a depth-first
+   search that tries the largest tiles first, into one column table per
+   remainder vector (:class:`_ComboTable`).  Tables are memoized per
+   remainder vector — spatial twins share them.
 
-Candidates are priced inline with the same arithmetic as
-:func:`repro.compiler.model.evaluate_mapping` (a hot loop over plain
-tuples); the top-k winners are re-materialized as full
-:class:`MappingVectors` and re-priced by the authoritative model, which
-also re-checks every constraint.
+Candidates are priced a whole table at a time:
+:meth:`ScheduleSearch._price_table` applies the integer ceil-divisions
+and float operations of :func:`repro.compiler.model.evaluate_mapping` to
+int64 columns, so every price is bit-identical to the scalar model.  The
+top-k heap stays exact by replaying only the entries at or above its
+floor (see :meth:`ScheduleSearch._offer`).  The winners are
+re-materialized as full :class:`MappingVectors` and re-priced by the
+authoritative model, which also re-checks every constraint.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import prod
+from typing import Callable
+
+import numpy as np
 
 from repro.compiler.adjacency import adjacency_matrix
 from repro.compiler.constraints import check_constraints
@@ -50,6 +60,13 @@ AcceleratedLayer = ConvLayer | MatMulLayer
 
 #: Valid objective names.
 OBJECTIVES = ("performance", "balance")
+
+#: T tiles whose L lattices are expanded together in the first block of a
+#: beamed temporal enumeration; later blocks double.
+_FIRST_T_BLOCK = 32
+
+#: Lattice extensions built per pass before the capacity filter runs.
+_EXTEND_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -113,50 +130,80 @@ def ceil_tile_candidates(size: int, cap: int) -> list[int]:
     return list(_ceil_tile_lattice(size, cap))
 
 
-def _level_assignments(
-    loop_sizes: dict[str, int],
-    allowed: list[str],
-    cap: int,
-) -> list[dict[str, int]]:
-    """All per-loop tile dicts for one hardware level, product <= cap."""
-    assignments: list[dict[str, int]] = []
+def _extend(
+    rows: np.ndarray,
+    col: int,
+    sizes: np.ndarray,
+    fits: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Extend every row at ``col`` by each tile of its loop's lattice.
 
-    def recurse(index: int, current: dict[str, int], budget: int) -> None:
-        if index == len(allowed):
-            assignments.append(dict(current))
-            return
-        name = allowed[index]
-        for tile in _ceil_tile_lattice(loop_sizes[name], budget):
-            current[name] = tile
-            recurse(index + 1, current, budget // tile)
-        current.pop(name, None)
+    Row ``r`` takes every tile of the full lattice of ``sizes[r]``,
+    largest first, and its extensions stay contiguous — the order in
+    which a depth-first search visits them.  ``fits(extended, parent)``
+    accepts or rejects each extension (``parent`` indexes ``rows``).
+    Extensions are built at most about :data:`_EXTEND_ROWS` at a time, so
+    the rejected ones never pile up in memory.
 
-    recurse(0, {}, cap)
-    return assignments
+    Returns the accepted rows, the parent index of each, and the parent
+    index of each rejected extension.
+    """
+    values, inverse = np.unique(sizes, return_inverse=True)
+    lattices = [_ceil_tile_lattice(v, v)[::-1] for v in values.tolist()]
+    lengths = np.array([len(lattice) for lattice in lattices])
+    flat = np.concatenate(lattices)
+    # Per row: where its lattice sits in ``flat``, how many extensions it
+    # gets, and where they start in the output.
+    first = (np.cumsum(lengths) - lengths)[inverse]
+    counts = lengths[inverse]
+    starts = np.cumsum(counts) - counts
+    kept, kept_parent, rejected_parent = [], [], []
+    lo = 0
+    while lo < len(rows):
+        hi = max(lo + 1, int(np.searchsorted(starts, starts[lo] + _EXTEND_ROWS)))
+        parent = np.repeat(np.arange(lo, hi), counts[lo:hi])
+        position = np.arange(len(parent)) + starts[lo] - starts[parent]
+        extended = rows[parent]
+        extended[:, col] = flat[first[parent] + position]
+        ok = fits(extended, parent)
+        kept.append(extended[ok])
+        kept_parent.append(parent[ok])
+        rejected_parent.append(parent[~ok])
+        lo = hi
+    return (
+        np.concatenate(kept),
+        np.concatenate(kept_parent),
+        np.concatenate(rejected_parent),
+    )
 
 
 @dataclass(frozen=True)
-class _TemporalCombo:
-    """One memoized (T, L, forced-X) split of a remainder vector."""
+class _ComboTable:
+    """The (T, L, forced-X) splits of one remainder vector, as columns.
 
-    t_tile: tuple[int, ...]
-    l_tile: tuple[int, ...]
-    x_tile: tuple[int, ...]
-    t: int
-    l: int
-    x: int
-    #: ActBUF footprint of the T tile (words per TPE).
-    act_fp_t: int
+    Row ``j`` is the ``j``-th combo of a depth-first search over the T
+    lattices and then, per T tile, the L lattices, largest tiles first —
+    the order that breaks exact ties downstream.
+    """
+
+    #: LoopT / LoopL tiles, one ``(n, K)`` row per combo.
+    t_tile: np.ndarray
+    l_tile: np.ndarray
+    #: Trip products of the T, L and forced X tiles.
+    t: np.ndarray
+    l: np.ndarray
+    x: np.ndarray
     #: PSumBUF footprint of the T*L tile (words per SuperBlock).
-    psum_fp: int
-    #: Weight words per TPE over T*L (one LoopX pass slice).
-    wbuf_slice: int
+    psum_fp: np.ndarray
     #: Weight words per TPE over X*L*T (the streamed slice).
-    wbuf_stream: int
-    #: Double-pump stall: T tile has no 2-cycle weight reuse.
-    stalled: bool
-    #: A LoopX trip splits a reduction loop (multipass accumulation).
-    multipass: bool
+    wbuf_stream: np.ndarray
+    #: 2 where the T tile has no 2-cycle weight reuse (double-pump stall).
+    stall: np.ndarray
+    #: 2 where a LoopX trip splits a reduction loop (multipass), else 1.
+    round_trips: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t)
 
 
 class ScheduleSearch:
@@ -169,9 +216,10 @@ class ScheduleSearch:
             ``"balance"`` (Objective 2: max corrected Eqn-13 score).
         top_k: Number of schedules to return, best first.
         spatial_beam: Max joint spatial choices explored (ranked by TPE
-            utilization, then padding).  ``None`` explores all.
-        temporal_beam: Max (T, L) combos per remainder vector.  ``None``
-            explores all.
+            utilization, then padding); ``None`` explores all, otherwise
+            at least 1.
+        temporal_beam: Max (T, L) combos per remainder vector; ``None``
+            explores all, otherwise at least 1.
         tracer: Optional :class:`~repro.trace.span.Tracer`; the search
             opens per-phase spans stamped with a monotonic step counter
             (``step_base`` + work units done) — never wall clock.
@@ -185,6 +233,10 @@ class ScheduleSearch:
             and fault masks).  Shared hits replay the original step/prune
             accounting, so results, trace spans, and mirrored counters
             are bit-identical whether the memo was cold or warm.
+
+    Raises:
+        ScheduleError: on an unknown objective, ``top_k < 1``, or a beam
+            width that is neither None nor at least 1.
     """
 
     def __init__(
@@ -206,6 +258,8 @@ class ScheduleSearch:
             )
         if top_k < 1:
             raise ScheduleError(f"top_k must be >= 1, got {top_k}")
+        check_beam("spatial_beam", spatial_beam)
+        check_beam("temporal_beam", temporal_beam)
         self.layer = layer
         self.config = config
         self.objective = objective
@@ -219,6 +273,14 @@ class ScheduleSearch:
         self._reduction = tuple(d.reduction for d in dims)
         self._in_weights = tuple(d.in_weights for d in dims)
         self._k = len(dims)
+        self._weight_words = layer.weight_words
+        self._t_loops = self._allowed_indices("T")
+        self._l_loops = self._allowed_indices("L")
+        self._reduction_cols = [i for i, red in enumerate(self._reduction) if red]
+        self._nonweight_cols = [
+            i for i, in_w in enumerate(self._in_weights) if not in_w
+        ]
+        self._c_min = max(1, ceil_div(layer.maccs, config.n_tpe))
         self.candidates_evaluated = 0
         self.tracer = as_tracer(tracer)
         self.metrics = as_metrics(metrics)
@@ -247,36 +309,39 @@ class ScheduleSearch:
         return self.step_base + self.steps
 
     # ------------------------------------------------------------------ #
-    # fast footprint helpers on positional tiles
+    # footprints of (n, K) positional tile matrices, one value per row
     # ------------------------------------------------------------------ #
-    def _act_fp(self, tile: tuple[int, ...]) -> int:
+    def _act_fp(self, tile: np.ndarray) -> np.ndarray:
         layer = self.layer
         if isinstance(layer, ConvLayer):
-            m, n, h, w, r, s = tile
+            m, n, h, w, r, s = tile.T
             rows = (h - 1) * layer.stride + r
             cols = (w - 1) * layer.stride + s
-            groups_touched = 1
+            words = n * rows * cols
             if layer.groups > 1:
-                groups_touched = min(
+                groups_touched = np.minimum(
                     layer.groups, -(-m // layer.group_out_channels)
                 )
-            return groups_touched * n * rows * cols
-        m, n, p = tile
+                words = groups_touched * words
+            return words
+        m, _, p = tile.T
         return m * p
 
-    def _out_fp(self, tile: tuple[int, ...]) -> int:
+    def _out_fp(self, tile: np.ndarray) -> np.ndarray:
         if isinstance(self.layer, ConvLayer):
-            return tile[0] * tile[2] * tile[3]
-        return tile[1] * tile[2]
+            return tile[:, 0] * tile[:, 2] * tile[:, 3]
+        return tile[:, 1] * tile[:, 2]
 
-    def _weight_fp(self, tile: tuple[int, ...]) -> int:
+    def _weight_fp(self, tile: np.ndarray) -> np.ndarray:
         if isinstance(self.layer, ConvLayer):
-            return tile[0] * tile[1] * tile[4] * tile[5]
-        return tile[0] * tile[1]
+            return tile[:, 0] * tile[:, 1] * tile[:, 4] * tile[:, 5]
+        return tile[:, 0] * tile[:, 1]
 
-    def _nonweight_product(self, tile: tuple[int, ...]) -> int:
-        return prod(
-            t for t, in_w in zip(tile, self._in_weights) if not in_w
+    def _fits_lt(self, tile: np.ndarray) -> np.ndarray:
+        """Rows whose PSumBUF and WBUF footprints fit (the L-level caps)."""
+        return (
+            (self._out_fp(tile) <= self.config.psumbuf_usable_words)
+            & (self._weight_fp(tile) <= self.config.s_wbuf_words)
         )
 
     # ------------------------------------------------------------------ #
@@ -288,39 +353,73 @@ class ScheduleSearch:
             if self._adjacency[level][name] and size > 1
         ]
 
-    def _spatial_choices(self) -> list[tuple[tuple[int, ...], ...]]:
-        """Joint (D1, D2, D3) positional tiles, beam-ranked."""
-        sizes = dict(zip(self._loop_names, self._sizes))
-        per_level = [
-            _level_assignments(sizes, self._allowed_loops(level), cap)
+    def _allowed_indices(self, level: str) -> list[int]:
+        allowed = set(self._allowed_loops(level))
+        return [i for i, name in enumerate(self._loop_names) if name in allowed]
+
+    def _level_tiles(self, level: str, cap: int) -> np.ndarray:
+        """Positional tiles of one spatial level with product <= ``cap``.
+
+        One ``(n, K)`` row per tile, in depth-first enumeration order
+        (each loop's lattice ascending, bounded by the budget left).
+        """
+        allowed = self._allowed_indices(level)
+        rows: list[tuple[int, ...]] = []
+        current = [1] * self._k
+
+        def recurse(pos: int, budget: int) -> None:
+            if pos == len(allowed):
+                rows.append(tuple(current))
+                return
+            i = allowed[pos]
+            for tile in _ceil_tile_lattice(self._sizes[i], budget):
+                current[i] = tile
+                recurse(pos + 1, budget // tile)
+            current[i] = 1
+
+        recurse(0, cap)
+        return np.array(rows, dtype=np.int64)
+
+    def _spatial_choices(self) -> np.ndarray:
+        """Joint (D1, D2, D3) positional tiles, beam-ranked.
+
+        Returns an ``(n, 3, K)`` array: choice, level, loop.  The joint
+        choices are ranked by TPE utilization (descending), then padding
+        (ascending), ties kept in ``itertools.product`` order.
+        """
+        t1, t2, t3 = (
+            self._level_tiles(level, cap)
             for level, cap in (
                 ("D1", self.config.d1),
                 ("D2", self.config.d2),
                 ("D3", self.config.d3),
             )
-        ]
-
-        def positional(assignment: dict[str, int]) -> tuple[int, ...]:
-            return tuple(assignment.get(n, 1) for n in self._loop_names)
-
-        joint = []
-        for a1, a2, a3 in itertools.product(*per_level):
-            t1, t2, t3 = positional(a1), positional(a2), positional(a3)
-            used = prod(t1) * prod(t2) * prod(t3)
-            pad = 1.0
-            for i, size in enumerate(self._sizes):
-                split = t1[i] * t2[i] * t3[i]
-                if split > 1:
-                    tile = ceil_div(size, split)
-                    pad *= (tile * split) / size if tile * split > size else 1.0
-            joint.append((used, pad, (t1, t2, t3)))
-        joint.sort(key=lambda item: (-item[0], item[1]))
-        self.spatial_enumerated += len(joint)
-        self.steps += len(joint)
-        if self.spatial_beam is not None and len(joint) > self.spatial_beam:
-            self.spatial_beam_dropped += len(joint) - self.spatial_beam
-            joint = joint[: self.spatial_beam]
-        return [spatial for _, _, spatial in joint]
+        )
+        used = (
+            t1.prod(axis=1)[:, None, None]
+            * t2.prod(axis=1)[None, :, None]
+            * t3.prod(axis=1)[None, None, :]
+        )
+        # Per-loop ratios multiply in loop order: a float product depends
+        # on its order, and ties in the ranking must be exact.
+        pad = np.ones(used.shape)
+        for i, size in enumerate(self._sizes):
+            if max(t1[:, i].max(), t2[:, i].max(), t3[:, i].max()) == 1:
+                continue
+            split = (
+                t1[:, i, None, None] * t2[None, :, i, None]
+                * t3[None, None, :, i]
+            )
+            covered = -(-size // split) * split
+            pad *= np.where(covered > size, covered / size, 1.0)
+        order = np.lexsort((pad.ravel(), -used.ravel()))
+        self.spatial_enumerated += order.size
+        self.steps += order.size
+        if self.spatial_beam is not None and order.size > self.spatial_beam:
+            self.spatial_beam_dropped += order.size - self.spatial_beam
+            order = order[: self.spatial_beam]
+        i1, i2, i3 = np.unravel_index(order, used.shape)
+        return np.stack((t1[i1], t2[i2], t3[i3]), axis=1)
 
     # ------------------------------------------------------------------ #
     # temporal stage (memoized per remainder vector)
@@ -354,167 +453,233 @@ class ScheduleSearch:
             self.temporal_beam,
         )
 
-    def _t_tiles(self, rem: tuple[int, ...]) -> list[tuple[int, ...]]:
-        allowed = set(self._allowed_loops("T"))
-        active = [
-            i for i, name in enumerate(self._loop_names)
-            if name in allowed and rem[i] > 1
-        ]
+    def _t_tiles(self, rem: tuple[int, ...]) -> np.ndarray:
+        """LoopT tiles of ``rem`` that fit all three buffers, DFS order.
+
+        Every prefix a buffer rejects counts once in
+        ``pruned_by_capacity`` and is not extended.  Tile 1 always fits
+        (it leaves the footprints of an accepted prefix unchanged), so
+        at least the all-ones tile survives.
+        """
         act_cap = self.config.actbuf_usable_words
-        psum_cap = self.config.psumbuf_usable_words
-        wbuf_cap = self.config.s_wbuf_words
-        tiles: list[tuple[int, ...]] = []
-        current = [1] * self._k
+        rows = np.ones((1, self._k), dtype=np.int64)
+        for i in self._t_loops:
+            if rem[i] <= 1:
+                continue
+            rows, _, rejected = _extend(
+                rows, i, np.full(len(rows), rem[i]),
+                lambda tile, _: (
+                    (self._act_fp(tile) <= act_cap) & self._fits_lt(tile)
+                ),
+            )
+            self.pruned_by_capacity += len(rejected)
+        return rows
 
-        def recurse(pos: int) -> None:
-            if pos == len(active):
-                tiles.append(tuple(current))
-                return
-            i = active[pos]
-            # Largest tiles first: they amortize LoopX overhead best.
-            for tile in reversed(_ceil_tile_lattice(rem[i], rem[i])):
-                current[i] = tile
-                candidate = tuple(current)
-                if (
-                    self._act_fp(candidate) <= act_cap
-                    and self._out_fp(candidate) <= psum_cap
-                    and self._weight_fp(candidate) <= wbuf_cap
-                ):
-                    recurse(pos + 1)
-                else:
-                    self.pruned_by_capacity += 1
-            current[i] = 1
+    def _l_tiles(
+        self, rem: tuple[int, ...], t_tiles: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """LoopL tiles for each T tile, T-major then DFS order.
 
-        recurse(0)
-        return tiles or [tuple(current)]
+        Returns ``(l_tiles, group, pruned)``: the L tile rows, the index
+        of each row's T tile, and the capacity prunes per T tile.  As in
+        :meth:`_t_tiles`, tile 1 always fits, so every T tile keeps at
+        least one L tile.
+        """
+        n_t = len(t_tiles)
+        rows = np.ones((n_t, self._k), dtype=np.int64)
+        group = np.arange(n_t)
+        pruned = np.zeros(n_t, dtype=np.int64)
+        for i in self._l_loops:
+            # A loop the T tile already covers expands by tile 1 only,
+            # which leaves every row as it was.
+            remaining = -(-rem[i] // t_tiles[group, i])
+            if remaining.max() <= 1:
+                continue
+            t_rows = t_tiles[group]
+            rows, parent, rejected = _extend(
+                rows, i, remaining,
+                lambda tile, parent: self._fits_lt(t_rows[parent] * tile),
+            )
+            pruned += np.bincount(group[rejected], minlength=n_t)
+            group = group[parent]
+        return rows, group, pruned
 
-    def _temporal_combos(self, rem: tuple[int, ...]) -> list[_TemporalCombo]:
-        l_allowed = set(self._allowed_loops("L"))
-        l_active_base = [
-            i for i, name in enumerate(self._loop_names) if name in l_allowed
-        ]
-        combos: list[_TemporalCombo] = []
-        psum_cap = self.config.psumbuf_usable_words
-        wbuf_cap = self.config.s_wbuf_words
+    def _temporal_table(self, rem: tuple[int, ...]) -> _ComboTable:
+        """All (T, L, forced-X) combos of ``rem``, cut at the beam.
 
-        for t_tile in self._t_tiles(rem):
-            if self.temporal_beam is not None and len(combos) >= self.temporal_beam:
-                break
-            # Enumerate L tiles over the loops still carrying iterations.
-            l_choices: list[tuple[int, ...]] = [tuple([1] * self._k)]
-            for i in l_active_base:
-                remaining = ceil_div(rem[i], t_tile[i])
-                if remaining <= 1:
-                    continue
-                extended = []
-                for base in l_choices:
-                    for tile in reversed(_ceil_tile_lattice(remaining, remaining)):
-                        candidate = list(base)
-                        candidate[i] = tile
-                        combined = tuple(
-                            t_tile[j] * candidate[j] for j in range(self._k)
-                        )
-                        if (
-                            self._out_fp(combined) <= psum_cap
-                            and self._weight_fp(combined) <= wbuf_cap
-                        ):
-                            extended.append(tuple(candidate))
-                        else:
-                            self.pruned_by_capacity += 1
-                if extended:
-                    l_choices = extended
-            for l_tile in l_choices:
-                if (
-                    self.temporal_beam is not None
-                    and len(combos) >= self.temporal_beam
-                ):
-                    break
-                x_tile = tuple(
-                    ceil_div(rem[i], t_tile[i] * l_tile[i])
-                    for i in range(self._k)
-                )
-                lt_tile = tuple(
-                    t_tile[i] * l_tile[i] for i in range(self._k)
-                )
-                xlt_tile = tuple(
-                    lt_tile[i] * x_tile[i] for i in range(self._k)
-                )
-                self.steps += 1
-                combos.append(
-                    _TemporalCombo(
-                        t_tile=t_tile,
-                        l_tile=l_tile,
-                        x_tile=x_tile,
-                        t=prod(t_tile),
-                        l=prod(l_tile),
-                        x=prod(x_tile),
-                        act_fp_t=self._act_fp(t_tile),
-                        psum_fp=self._out_fp(lt_tile),
-                        wbuf_slice=self._weight_fp(lt_tile),
-                        wbuf_stream=self._weight_fp(xlt_tile),
-                        stalled=(
-                            self.config.double_pump
-                            and self._nonweight_product(t_tile) < 2
-                        ),
-                        multipass=any(
-                            x_tile[i] > 1
-                            for i in range(self._k)
-                            if self._reduction[i]
-                        ),
-                    )
-                )
-        return combos
+        A T tile's L lattice is expanded (and its prunes counted) only if
+        the combos of the T tiles before it leave the beam unfilled; L
+        lattices are expanded for blocks of T tiles at a time, and the
+        part of the last block past that point is discarded.
+        """
+        beam = self.temporal_beam
+        t_all = self._t_tiles(rem)
+        t_parts, l_parts = [], []
+        count = start = 0
+        block = _FIRST_T_BLOCK if beam is not None else len(t_all)
+        while start < len(t_all) and (beam is None or count < beam):
+            t_block = t_all[start:start + block]
+            l_tiles, group, pruned = self._l_tiles(rem, t_block)
+            per_t = np.bincount(group, minlength=len(t_block))
+            taken = len(t_block)
+            if beam is not None:
+                before = count + np.cumsum(per_t) - per_t
+                taken = int(np.count_nonzero(before < beam))
+            self.pruned_by_capacity += int(pruned[:taken].sum())
+            n_rows = int(per_t[:taken].sum())
+            t_parts.append(t_block[group[:n_rows]])
+            l_parts.append(l_tiles[:n_rows])
+            count += n_rows
+            start += block
+            block *= 2
+        n = count if beam is None else min(count, beam)
+        t_tile = np.concatenate(t_parts)[:n]
+        l_tile = np.concatenate(l_parts)[:n]
+        lt_tile = t_tile * l_tile
+        x_tile = -(-np.array(rem, dtype=np.int64) // lt_tile)
+        self.steps += n
+        stalled = self.config.double_pump & (
+            t_tile[:, self._nonweight_cols].prod(axis=1) < 2
+        )
+        return _ComboTable(
+            t_tile=t_tile,
+            l_tile=l_tile,
+            t=t_tile.prod(axis=1),
+            l=l_tile.prod(axis=1),
+            x=x_tile.prod(axis=1),
+            psum_fp=self._out_fp(lt_tile),
+            wbuf_stream=self._weight_fp(lt_tile * x_tile),
+            stall=np.where(stalled, 2, 1),
+            round_trips=np.where(
+                (x_tile[:, self._reduction_cols] > 1).any(axis=1), 2, 1
+            ),
+        )
 
-    # ------------------------------------------------------------------ #
-    # pricing (mirrors evaluate_mapping on plain tuples)
-    # ------------------------------------------------------------------ #
-    def _price(
+    def _memoized_table(
         self,
-        spatial: tuple[tuple[int, ...], ...],
-        combo: _TemporalCombo,
-    ) -> tuple[int, float, float]:
-        """Return (c_exe, e_wbuf, score) for one candidate."""
+        rem: tuple[int, ...],
+        context: tuple | None,
+    ) -> _ComboTable:
+        """Temporal combos for ``rem``, via the shared memo when available.
+
+        A shared hit replays the recorded step and capacity-prune charges
+        so the search's virtual step clock is independent of memo warmth.
+        """
+        memo = self.temporal_memo
+        if memo is None:
+            return self._temporal_table(rem)
+        entry = memo.lookup(context, rem)
+        if entry is not None:
+            self.steps += entry.steps
+            self.pruned_by_capacity += entry.pruned
+            self.shared_memo_hits += 1
+            return entry.combos
+        steps0 = self.steps
+        pruned0 = self.pruned_by_capacity
+        table = self._temporal_table(rem)
+        memo.store(
+            context, rem, table,
+            steps=self.steps - steps0,
+            pruned=self.pruned_by_capacity - pruned0,
+        )
+        return table
+
+    # ------------------------------------------------------------------ #
+    # pricing (evaluate_mapping over the columns of one combo table)
+    # ------------------------------------------------------------------ #
+    def _price_table(
+        self,
+        spatial: np.ndarray,
+        table: _ComboTable,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Return ``(c_exe, e_wbuf, score)`` columns for one spatial choice.
+
+        ``spatial`` is the ``(3, K)`` D1/D2/D3 tile matrix.  Each value is
+        computed with the integer and float operations of
+        :func:`~repro.compiler.model.evaluate_mapping`, in the same order,
+        so it equals the scalar model's bit for bit.
+        """
         config = self.config
         d1_tile, d2_tile, d3_tile = spatial
-        used_d1, used_d2, used_d3 = prod(d1_tile), prod(d2_tile), prod(d3_tile)
-        used_tpes = used_d1 * used_d2 * used_d3
+        used_d2 = int(d2_tile.prod())
+        used_d3 = int(d3_tile.prod())
+        used_tpes = int(d1_tile.prod()) * used_d2 * used_d3
+        x = table.x
 
-        stall = 2 if combo.stalled else 1
-        c_comp = combo.x * (combo.l * combo.t * stall + config.pipeline_latency)
+        c_comp = x * (table.l * table.t * table.stall + config.pipeline_latency)
 
-        td1 = tuple(combo.t_tile[i] * d1_tile[i] for i in range(self._k))
-        f_act_row = self._act_fp(td1)
-        c_actbus = int(
-            -(-combo.x * combo.l * f_act_row // config.actbus_wpc)
+        td1 = table.t_tile * d1_tile
+        xl = x * table.l
+        c_actbus = -(-xl * self._act_fp(td1) // config.actbus_wpc)
+
+        c_psumbus = -(
+            -x * used_d3 * table.psum_fp * table.round_trips
+            // config.psumbus_words_per_cycle
         )
 
-        round_trips = 2 if combo.multipass else 1
-        c_psumbus = int(
-            -(-combo.x * used_d3 * combo.psum_fp * round_trips
-              // config.psumbus_words_per_cycle)
+        act_read = xl * self._act_fp(td1 * d3_tile)
+        psum_total = x * used_d2 * used_d3 * table.psum_fp
+        # Every tile is at least 1, so stored >= 1 and e_wbuf needs no
+        # zero guard.
+        stored = used_tpes * table.wbuf_stream
+        read_words = act_read + psum_total * (table.round_trips - 1)
+        if not config.weights_resident:
+            read_words = read_words + stored
+        c_dram_rd = -(-read_words // config.dram_rd_words_per_cycle())
+        c_dram_wr = -(-psum_total // config.dram_wr_words_per_cycle())
+
+        terms = [
+            term.astype(np.int64, copy=False)
+            for term in (c_comp, c_actbus, c_psumbus, c_dram_rd, c_dram_wr)
+        ]
+        c_exe = (
+            np.maximum.reduce(terms) if config.double_buffer else sum(terms)
         )
-
-        td1d3 = tuple(td1[i] * d3_tile[i] for i in range(self._k))
-        act_read = combo.x * combo.l * self._act_fp(td1d3)
-        psum_total = combo.x * used_d2 * used_d3 * combo.psum_fp
-        stored = used_tpes * combo.wbuf_stream
-        streamed = 0 if config.weights_resident else stored
-        read_words = act_read + psum_total * (round_trips - 1) + streamed
-        c_dram_rd = int(-(-read_words // config.dram_rd_words_per_cycle()))
-        c_dram_wr = int(-(-psum_total // config.dram_wr_words_per_cycle()))
-
-        terms = (c_comp, c_actbus, c_psumbus, c_dram_rd, c_dram_wr)
-        c_exe = max(terms) if config.double_buffer else sum(terms)
-
-        e_wbuf = min(1.0, self.layer.weight_words / stored) if stored else 0.0
-        c_min = max(1, ceil_div(self.layer.maccs, config.n_tpe))
-        score = c_min / c_exe + e_wbuf
+        e_wbuf = np.minimum(self._weight_words / stored, 1.0)
+        score = self._c_min / c_exe + e_wbuf
         return c_exe, e_wbuf, score
 
-    def _objective_key(self, c_exe: int, e_wbuf: float, score: float) -> tuple:
+    def _offer(
+        self,
+        heap: list,
+        priced: tuple[np.ndarray, np.ndarray, np.ndarray],
+        first: int,
+        payload: tuple,
+    ) -> None:
+        """Feed one priced table into the top-k heap.
+
+        The heap ends up exactly as if every row had gone through
+        ``heappush`` / ``heappushpop`` one at a time, with the global
+        evaluation index ``first + row`` as the tie-breaking counter.
+        Once the heap is full, a row whose key is below the floor
+        ``heap[0]`` would be handed straight back by ``heappushpop``;
+        the floor never decreases, so only rows at or above the floor
+        at the start of the table are replayed.
+        """
+        c_exe, e_wbuf, score = priced
         if self.objective == "performance":
-            return (c_exe, -e_wbuf)
-        return (-score, c_exe)
+            major, minor = -c_exe, e_wbuf
+        else:
+            major, minor = score, -c_exe
+        start = 0
+        if len(heap) < self.top_k:
+            start = min(len(major), self.top_k - len(heap))
+            for row, key in enumerate(
+                zip(major[:start].tolist(), minor[:start].tolist())
+            ):
+                heapq.heappush(heap, (key, first + row, payload, row))
+        if start < len(major):
+            floor_major, floor_minor = heap[0][0]
+            tail_major, tail_minor = major[start:], minor[start:]
+            rows = start + np.flatnonzero(
+                (tail_major > floor_major)
+                | ((tail_major == floor_major) & (tail_minor >= floor_minor))
+            )
+            for row, key in zip(
+                rows.tolist(),
+                zip(major[rows].tolist(), minor[rows].tolist()),
+            ):
+                heapq.heappushpop(heap, (key, first + row, payload, row))
 
     # ------------------------------------------------------------------ #
     def run(self) -> list[Schedule]:
@@ -545,39 +710,9 @@ class ScheduleSearch:
                 tracer.end(self._now())
             self._mirror_metrics(snapshot)
 
-    def _memoized_combos(
-        self,
-        rem: tuple[int, ...],
-        context: tuple | None,
-    ) -> tuple[_TemporalCombo, ...]:
-        """Temporal combos for ``rem``, via the shared memo when available.
-
-        A shared hit replays the recorded step and capacity-prune charges
-        so the search's virtual step clock is independent of memo warmth.
-        """
-        memo = self.temporal_memo
-        if memo is None:
-            return tuple(self._temporal_combos(rem))
-        entry = memo.lookup(context, rem)
-        if entry is not None:
-            self.steps += entry.steps
-            self.pruned_by_capacity += entry.pruned
-            self.shared_memo_hits += 1
-            return entry.combos
-        steps0 = self.steps
-        pruned0 = self.pruned_by_capacity
-        combos = tuple(self._temporal_combos(rem))
-        memo.store(
-            context, rem, combos,
-            steps=self.steps - steps0,
-            pruned=self.pruned_by_capacity - pruned0,
-        )
-        return combos
-
     def _run_traced(self, tracer: Tracer) -> list[Schedule]:
-        heap: list[tuple[tuple, int, tuple, _TemporalCombo]] = []
-        counter = itertools.count()
-        temporal_memo: dict[tuple[int, ...], tuple[_TemporalCombo, ...]] = {}
+        heap: list[tuple[tuple, int, tuple, int]] = []
+        tables: dict[tuple[int, ...], _ComboTable] = {}
         context = (
             self.temporal_context() if self.temporal_memo is not None else None
         )
@@ -587,32 +722,20 @@ class ScheduleSearch:
         tracer.end(self._now(), span)
 
         span = tracer.begin("evaluate", at=self._now(), track="search")
-        for spatial in spatials:
-            d1_tile, d2_tile, d3_tile = spatial
-            rem = tuple(
-                ceil_div(
-                    self._sizes[i],
-                    d1_tile[i] * d2_tile[i] * d3_tile[i],
-                )
-                for i in range(self._k)
-            )
-            combos = temporal_memo.get(rem)
-            if combos is None:
-                combos = self._memoized_combos(rem, context)
-                temporal_memo[rem] = combos
+        rems = -(-np.array(self._sizes, dtype=np.int64) // spatials.prod(axis=1))
+        evaluated = 0
+        for spatial, rem in zip(spatials, map(tuple, rems.tolist())):
+            table = tables.get(rem)
+            if table is None:
+                table = self._memoized_table(rem, context)
+                tables[rem] = table
             else:
                 self.temporal_memo_hits += 1
-            for combo in combos:
-                c_exe, e_wbuf, score = self._price(spatial, combo)
-                self.candidates_evaluated += 1
-                self.steps += 1
-                key = self._objective_key(c_exe, e_wbuf, score)
-                neg_key = tuple(-v for v in key)
-                entry = (neg_key, next(counter), spatial, combo)
-                if len(heap) < self.top_k:
-                    heapq.heappush(heap, entry)
-                else:
-                    heapq.heappushpop(heap, entry)
+            priced = self._price_table(spatial, table)
+            self._offer(heap, priced, evaluated, (spatial, rem, table))
+            evaluated += len(table)
+            self.candidates_evaluated += len(table)
+            self.steps += len(table)
         tracer.end(self._now(), span)
 
         if not heap:
@@ -623,7 +746,9 @@ class ScheduleSearch:
 
         span = tracer.begin("materialize", at=self._now(), track="search")
         results = sorted(heap, key=lambda item: tuple(-v for v in item[0]))
-        schedules = [self._materialize(spatial, combo) for _, _, spatial, combo in results]
+        schedules = [
+            self._materialize(*payload, row) for _, _, payload, row in results
+        ]
         tracer.end(self._now(), span)
 
         violations = check_constraints(self.layer, self.config, schedules[0].mapping)
@@ -666,18 +791,25 @@ class ScheduleSearch:
 
     def _materialize(
         self,
-        spatial: tuple[tuple[int, ...], ...],
-        combo: _TemporalCombo,
+        spatial: np.ndarray,
+        rem: tuple[int, ...],
+        table: _ComboTable,
+        row: int,
     ) -> Schedule:
-        """Build the full mapping and re-price it authoritatively."""
+        """Build the full mapping of one table row and re-price it
+        authoritatively."""
         names = self._loop_names
+        t_tile = table.t_tile[row].tolist()
+        l_tile = table.l_tile[row].tolist()
+        x_tile = [ceil_div(r, t * l) for r, t, l in zip(rem, t_tile, l_tile)]
+        d1_tile, d2_tile, d3_tile = spatial.tolist()
         partial = {
-            "D1": dict(zip(names, spatial[0])),
-            "D2": dict(zip(names, spatial[1])),
-            "D3": dict(zip(names, spatial[2])),
-            "X": dict(zip(names, combo.x_tile)),
-            "L": dict(zip(names, combo.l_tile)),
-            "T": dict(zip(names, combo.t_tile)),
+            "D1": dict(zip(names, d1_tile)),
+            "D2": dict(zip(names, d2_tile)),
+            "D3": dict(zip(names, d3_tile)),
+            "X": dict(zip(names, x_tile)),
+            "L": dict(zip(names, l_tile)),
+            "T": dict(zip(names, t_tile)),
         }
         mapping = MappingVectors.from_partial(names, partial)
         estimate = evaluate_mapping(self.layer, self.config, mapping)
@@ -688,6 +820,16 @@ class ScheduleSearch:
             estimate=estimate,
             objective=self.objective,
         )
+
+
+def check_beam(name: str, width: int | None) -> None:
+    """Raise :class:`ScheduleError` unless a beam ``width`` is None or >= 1.
+
+    A width of 0 would search nothing and a negative one would silently
+    slice choices off the end of the ranking.
+    """
+    if width is not None and width < 1:
+        raise ScheduleError(f"{name} must be None or >= 1, got {width}")
 
 
 def schedule_layer(
@@ -704,7 +846,6 @@ def schedule_network(
     config: OverlayConfig,
     objective: str = "performance",
     cache=None,
-    workers: int | None = None,
 ) -> list[Schedule]:
     """Best schedule per accelerated layer of ``network``, in layer order.
 
@@ -713,27 +854,12 @@ def schedule_network(
     deduplicated through one :class:`~repro.compiler.cache.ScheduleCache`
     (a fresh unbounded one when ``cache`` is None).
 
-    Args:
-        workers: When > 1, independent layer searches fan out across a
-            :mod:`multiprocessing` pool (see
-            :func:`repro.compiler.parallel.parallel_schedule_network`);
-            results are merged deterministically and are byte-for-byte
-            identical to the sequential path.  ``None`` or 1 searches
-            in-process.
-
     Raises:
         ScheduleError: if any layer has no feasible mapping on ``config``.
     """
-    # Local imports: cache.py / parallel.py import this module at load time.
+    # Local import: cache.py imports this module at load time.
     from repro.compiler.cache import ScheduleCache
 
     if cache is None:
         cache = ScheduleCache(config, objective=objective)
-    if workers is not None and workers > 1:
-        from repro.compiler.parallel import parallel_schedule_network
-
-        return parallel_schedule_network(
-            network, config, objective=objective, cache=cache,
-            max_workers=workers,
-        )
     return [cache.schedule(layer) for layer in network.accelerated_layers()]

@@ -38,6 +38,14 @@ from repro.workloads import WORKLOADS, registered_workloads
 BUDGET_WORKLOADS = ("TinyAttention", "Transformer-MLP", "Transformer-mixed")
 
 
+def _beam_width(text: str) -> int:
+    """argparse type for a beam width: an integer of at least 1."""
+    width = int(text)
+    if width < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {width}")
+    return width
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.tools.conformance",
@@ -61,11 +69,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
     parser.add_argument(
-        "--spatial-beam", type=int, default=None,
+        "--spatial-beam", type=_beam_width, default=None,
         help="override the budget's spatial beam width",
     )
     parser.add_argument(
-        "--temporal-beam", type=int, default=None,
+        "--temporal-beam", type=_beam_width, default=None,
         help="override the budget's temporal beam width",
     )
     return parser

@@ -1,10 +1,10 @@
-"""The fast compile path: memo, persistent store, parallel scheduling.
+"""The fast compile path: temporal memo and persistent store.
 
 The contract under test everywhere here is *byte-for-byte identity*: the
-incremental temporal memo, the on-disk schedule store, and the
-multiprocessing fan-out are pure accelerations — every schedule, every
-search counter, and every trace-visible step charge must be exactly what
-the plain sequential search produces.
+incremental temporal memo and the on-disk schedule store are pure
+accelerations — every schedule, every search counter, and every
+trace-visible step charge must be exactly what the plain search
+produces.
 """
 
 from __future__ import annotations
@@ -19,18 +19,15 @@ from repro.compiler import (
     ScheduleSearch,
     TemporalMemo,
     ceil_tile_candidates,
-    parallel_schedule_network,
     schedule_layer,
     schedule_network,
 )
 from repro.compiler.cache import ScheduleCache
-from repro.compiler.parallel import _fan_out, default_workers
 from repro.compiler.persist import PersistentScheduleStore, store_key
 from repro.errors import ScheduleError
 from repro.overlay.config import OverlayConfig
 from repro.workloads.layers import ConvLayer, MatMulLayer
 from repro.workloads.models import build_smallcnn
-from repro.workloads.network import Network
 
 CONFIGS = [
     OverlayConfig(3, 2, 2),
@@ -250,7 +247,7 @@ def _fuzz_cases(rng: np.random.Generator, n: int):
 
 class TestCacheEquivalenceFuzz:
     def test_all_paths_produce_identical_schedules(self, tmp_path):
-        """searched == memory-cached == disk-cached == parallel-searched."""
+        """searched == memory-cached == disk-cached."""
         rng = np.random.default_rng(20260807)
         for case, (layer, config) in enumerate(_fuzz_cases(rng, 12)):
             try:
@@ -265,17 +262,7 @@ class TestCacheEquivalenceFuzz:
             warm = ScheduleCache(config, store=PersistentScheduleStore(root))
             from_disk = warm.schedule(layer)  # persistent hit
 
-            network = Network(
-                name="fuzz", application="test",
-                layers=(layer, layer.__class__(**{
-                    **{f.name: getattr(layer, f.name)
-                       for f in layer.__dataclass_fields__.values()},
-                    "name": "twin",
-                })),
-            )
-            par = parallel_schedule_network(network, config, max_workers=2)
-
-            for other in (first, second, from_disk, par[0], par[1]):
+            for other in (first, second, from_disk):
                 assert other.mapping == direct.mapping, (case, layer)
                 assert other.estimate == direct.estimate, (case, layer)
             assert warm.stats().persistent_hits == 1
@@ -284,16 +271,15 @@ class TestCacheEquivalenceFuzz:
         network = build_smallcnn()
         config = OverlayConfig(3, 2, 2)
         sequential = schedule_network(network, config)
-        parallel = parallel_schedule_network(network, config, max_workers=2)
         store = PersistentScheduleStore(tmp_path)
         disk_cold = ScheduleCache(config, store=store)
         cold = [disk_cold.schedule(l) for l in network.accelerated_layers()]
         disk_warm = ScheduleCache(
             config, store=PersistentScheduleStore(tmp_path))
         warm = [disk_warm.schedule(l) for l in network.accelerated_layers()]
-        for seq, par, c, w in zip(sequential, parallel, cold, warm):
-            assert seq.mapping == par.mapping == c.mapping == w.mapping
-            assert seq.estimate == par.estimate == c.estimate == w.estimate
+        for seq, c, w in zip(sequential, cold, warm):
+            assert seq.mapping == c.mapping == w.mapping
+            assert seq.estimate == c.estimate == w.estimate
         stats = disk_warm.stats()
         assert stats.persistent_hits == stats.misses > 0
         assert stats.compiles == 0  # the warm start never searched
@@ -307,7 +293,6 @@ class TestCacheEquivalenceFuzz:
         ))
         config = OverlayConfig(3, 2, 2)
         sequential = schedule_network(network, config)
-        parallel = parallel_schedule_network(network, config, max_workers=2)
         disk_cold = ScheduleCache(
             config, store=PersistentScheduleStore(tmp_path))
         cold = [disk_cold.schedule(l) for l in network.accelerated_layers()]
@@ -315,47 +300,10 @@ class TestCacheEquivalenceFuzz:
             config, store=PersistentScheduleStore(tmp_path))
         warm = [disk_warm.schedule(l) for l in network.accelerated_layers()]
         assert len(sequential) == len(network.accelerated_layers())
-        for seq, par, c, w in zip(sequential, parallel, cold, warm):
-            assert seq.mapping == par.mapping == c.mapping == w.mapping
-            assert seq.estimate == par.estimate == c.estimate == w.estimate
+        for seq, c, w in zip(sequential, cold, warm):
+            assert seq.mapping == c.mapping == w.mapping
+            assert seq.estimate == c.estimate == w.estimate
         assert disk_warm.stats().compiles == 0
-
-
-class TestParallelScheduling:
-    def test_workers_flag_on_schedule_network(self):
-        network = build_smallcnn()
-        config = OverlayConfig(3, 2, 2)
-        assert [s.mapping for s in schedule_network(network, config)] == \
-            [s.mapping for s in schedule_network(network, config, workers=2)]
-
-    def test_single_worker_falls_back_in_process(self):
-        layer = LAYERS[3]
-        config = OverlayConfig(3, 2, 2)
-        results = _fan_out([(layer, config, "performance")], max_workers=1)
-        assert results[0][0].mapping == \
-            schedule_layer(layer, config).mapping
-
-    def test_default_workers_positive(self):
-        assert default_workers() >= 1
-
-    def test_step_charges_replayed_into_cache(self):
-        network = build_smallcnn()
-        config = OverlayConfig(3, 2, 2)
-        seq_cache = ScheduleCache(config)
-        for layer in network.accelerated_layers():
-            seq_cache.schedule(layer)
-        par_cache = ScheduleCache(config)
-        parallel_schedule_network(network, config, cache=par_cache,
-                                  max_workers=2)
-        assert par_cache._step_base == seq_cache._step_base
-
-    def test_adopt_rejects_foreign_schedules(self):
-        config = OverlayConfig(3, 2, 2)
-        other = OverlayConfig(4, 2, 3)
-        schedule = schedule_layer(LAYERS[3], other)
-        cache = ScheduleCache(config)
-        with pytest.raises(ScheduleError):
-            cache.adopt(LAYERS[3], schedule)
 
 
 class TestDescribeSurface:

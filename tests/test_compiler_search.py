@@ -1,10 +1,13 @@
 """The mapping-vector search: feasibility, optimality ordering, objectives."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.compiler.cache import ScheduleCache
 from repro.compiler.constraints import check_constraints
-from repro.compiler.model import evaluate_mapping
 from repro.compiler.search import (
     ScheduleSearch,
     ceil_tile_candidates,
@@ -67,14 +70,52 @@ class TestSearchBasics:
         assert cycles == sorted(cycles)
         assert len(schedules) == 10
 
-    def test_estimates_match_authoritative_model(self, small_conv, tiny_config):
-        """The fast pricing path must agree with evaluate_mapping."""
-        for schedule in ScheduleSearch(small_conv, tiny_config, top_k=5).run():
-            authoritative = evaluate_mapping(
-                small_conv, tiny_config, schedule.mapping
-            )
-            assert schedule.estimate.c_exe == authoritative.c_exe
-            assert schedule.estimate.e_wbuf == pytest.approx(authoritative.e_wbuf)
+    def test_estimates_match_authoritative_model(self, tiny_config):
+        """The array pricer equals evaluate_mapping on every candidate.
+
+        Each candidate the search prices is materialized as full mapping
+        vectors and re-priced by the scalar model; ``c_exe``, ``e_wbuf``
+        and the balance score must agree exactly, not approximately.
+        """
+        layers = [
+            ConvLayer("conv", 6, 8, in_h=8, in_w=8, kernel_h=3, kernel_w=3,
+                      padding=1),
+            ConvLayer("grouped", 8, 12, in_h=9, in_w=7, kernel_h=3,
+                      kernel_w=3, stride=2, padding=1, groups=4),
+            MatMulLayer("fc", in_features=48, out_features=20, batch=1),
+            MatMulLayer("score", in_features=16, out_features=12, batch=10,
+                        weight_source="k"),
+        ]
+        configs = [
+            tiny_config,
+            replace(tiny_config, double_buffer=False),
+            replace(tiny_config, weights_resident=True),
+            replace(tiny_config, double_pump=False),
+            replace(tiny_config, actbus_words_per_cycle=2.5,
+                    psumbus_words_per_cycle=3.0, dram_rd_gbps=5.0),
+        ]
+        for layer in layers:
+            for config in configs:
+                search = ScheduleSearch(
+                    layer, config, spatial_beam=12, temporal_beam=40
+                )
+                priced = 0
+                for spatial in search._spatial_choices():
+                    rem = tuple((-(-np.array(search._sizes)
+                                   // spatial.prod(axis=0))).tolist())
+                    table = search._temporal_table(rem)
+                    columns = search._price_table(spatial, table)
+                    for row, fast in enumerate(
+                        zip(*(column.tolist() for column in columns))
+                    ):
+                        est = search._materialize(
+                            spatial, rem, table, row
+                        ).estimate
+                        assert fast == (est.c_exe, est.e_wbuf, est.score), (
+                            layer.name, config, row
+                        )
+                        priced += 1
+                assert priced > 100
 
     def test_mm_layer_schedules(self, small_mm, tiny_config):
         schedule = schedule_layer(small_mm, tiny_config)
@@ -106,6 +147,28 @@ class TestSearchBasics:
     def test_bad_topk_rejected(self, small_mm, tiny_config):
         with pytest.raises(ScheduleError, match="top_k"):
             ScheduleSearch(small_mm, tiny_config, top_k=0)
+
+    @pytest.mark.parametrize("width", [0, -1, -160])
+    @pytest.mark.parametrize("name", ["spatial_beam", "temporal_beam"])
+    def test_bad_beam_rejected(self, small_conv, tiny_config, name, width):
+        """A beam of 0 would search nothing and a negative one would slice
+        choices off the end of the ranking: both are errors that name
+        the argument, in the search and in the cache."""
+        with pytest.raises(ScheduleError, match=name):
+            ScheduleSearch(small_conv, tiny_config, **{name: width})
+        with pytest.raises(ScheduleError, match=name):
+            ScheduleCache(tiny_config, **{name: width})
+
+    def test_edge_beams_accepted(self, small_conv, tiny_config):
+        search = ScheduleSearch(
+            small_conv, tiny_config, spatial_beam=1, temporal_beam=1
+        )
+        assert len(search.run()) == 1
+        assert search.candidates_evaluated == 1
+        assert search.spatial_beam_dropped == search.spatial_enumerated - 1
+        cache = ScheduleCache(tiny_config, spatial_beam=None,
+                              temporal_beam=1)
+        assert cache.schedule(small_conv).cycles > 0
 
     def test_describe_is_informative(self, small_conv, tiny_config):
         text = schedule_layer(small_conv, tiny_config).describe()

@@ -184,3 +184,11 @@ class TestCliSurface:
                 "--spatial-beam", "8", "--temporal-beam", "12"]
         assert main(args) == 0
         assert "beams 8/12" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--spatial-beam", "--temporal-beam"])
+    @pytest.mark.parametrize("width", ["0", "-1"])
+    def test_bad_beam_is_usage_error(self, capsys, flag, width):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--budget", flag, width])
+        assert exit_info.value.code == 2
+        assert flag in capsys.readouterr().err
