@@ -3,9 +3,9 @@
 Racks of overlay boards behind a self-healing router: correlated
 failure-domain faults, hedged deadline-aware retries, metrics-driven
 autoscaling with real cold-start costs, and tenant-aware fair-share
-admission — all on the same deterministic virtual clock as the
-single-board :class:`~repro.serving.engine.ServingEngine`, which a
-degenerate cluster configuration reproduces bit for bit.
+admission.  :class:`ClusterEngine` is the repo's one serving loop; the
+single-deployment :class:`~repro.serving.engine.ServingEngine` runs it
+as a one-rack, one-tenant fleet.
 """
 
 from repro.cluster.autoscale import AutoscalePolicy, Autoscaler

@@ -1,8 +1,40 @@
-"""Fleet-scale event loop: failure domains, self-healing, autoscaling.
+"""The serving event loop: one loop for a single board and a fleet.
 
-:class:`ClusterEngine` is the fleet analogue of
-:class:`~repro.serving.engine.ServingEngine` — the same discrete-event
-loop over the same virtual clock, with four additions:
+:class:`ClusterEngine` is the repo's only discrete-event serving loop.
+It runs on a virtual clock with six event sources: the arrival trace,
+batch-formation deadlines, batch completions, retry timers, an optional
+:class:`~repro.faults.schedule.FaultSchedule` and autoscaler ticks.  It
+reads no wall clock and no RNG, so a fixed arrival trace and fault
+schedule always reproduce identical metrics bit for bit.
+
+A request's end-to-end latency decomposes exactly as:
+
+    queue wait (arrival → batch launch, bounded by admission + max_wait)
+  + service    (Σ scheduled layer cycles / f_clk + DRAM transfer)
+
+with the batch-formation wait folded into the queue wait.
+
+Fault-tolerant execution:
+
+* **Crashes** take a board out of dispatch; its in-flight batches are
+  lost and their requests retried on the survivors under the
+  :class:`~repro.serving.request.RetryPolicy` (capped exponential
+  backoff, deadline-aware — a retry that cannot land before a request's
+  deadline drops it instead).
+* **Transient corruption** (SEU TPE faults, uncorrectable DRAM
+  bit-flips, link glitches) poisons the struck board's in-flight
+  batches — or, under a detecting integrity policy, rides to the
+  batch's retirement where the ABFT checksum catches it.
+* **Stuck-at TPE faults** permanently mask grid tiles: the board's
+  service times inflate to its largest healthy sub-grid's compiled
+  schedule.  If no sub-grid remains, the board is treated as crashed.
+* **Degraded-mode admission**: while any active board is not routable
+  the admission controller's *fault pressure* waives batch formation.
+* Requests whose deadline expires in the queue are dropped with a
+  reason; if no board will ever free, stranded work is dropped as
+  ``no_healthy_replica``.
+
+On top of that the fleet adds:
 
 * **Failure domains** — the fault schedule may carry the correlated
   domain events of :mod:`repro.cluster.events` (rack power loss,
@@ -22,14 +54,14 @@ loop over the same virtual clock, with four additions:
   (stride) scheduled.  Accounting is conserved *per tenant*:
   ``offered == completed + rejected + dropped`` under any fault mix.
 
-The loop body mirrors :class:`ServingEngine` statement for statement
-wherever the two overlap, and every extension is gated on its feature
-being exercised — so a degenerate cluster (one tenant, no autoscaler,
-hedging off, board names matching the replica names, no domain events)
-reproduces the single-engine run **bit for bit**, integrity policies
-and all.  That equivalence is what lets the existing chaos and
-integrity layers compose with the fleet unchanged, and it is enforced
-by tests.
+A service without a ``topology`` (a plain
+:class:`~repro.serving.scheduler.ReplicaService` or
+:class:`~repro.serving.scheduler.PipelineService`) is served as one rack
+holding one board per replica.  A one-rack fleet gets no per-domain
+health rollup and no ``cluster_rack_utilization`` gauges, since a single
+rack would only repeat the fleet totals.
+:class:`~repro.serving.engine.ServingEngine` is this loop with one rack,
+one tenant, hedging off and no autoscaler.
 """
 
 from __future__ import annotations
@@ -51,16 +83,16 @@ from repro.cluster.autoscale import (
 )
 from repro.cluster.events import (
     CorrelatedDramFault,
+    DomainFaultEvent,
     NetworkHeal,
     NetworkPartition,
     RackPowerLoss,
     RackPowerRestore,
 )
 from repro.cluster.report import ClusterReport, TenantStats
-from repro.cluster.router import BoardState, ClusterRouter
-from repro.cluster.service import FleetPipelineService, FleetService
+from repro.cluster.router import BoardState, ClusterRouter, Dispatch
 from repro.cluster.tenancy import TenantPolicy, TenantQueueSet
-from repro.cluster.topology import FleetTopology
+from repro.cluster.topology import FleetTopology, build_fleet
 from repro.errors import FaultError, ScheduleError, ServingError
 from repro.faults.events import (
     DramBitFlip,
@@ -76,16 +108,16 @@ from repro.faults.schedule import FaultSchedule
 from repro.integrity.policy import IntegrityPolicy
 from repro.serving.admission import AdmissionController, AdmissionPolicy
 from repro.serving.batcher import BatchPolicy
-from repro.serving.engine import (
+from repro.serving.metrics import ServingReport, percentile
+from repro.serving.request import (
     DROP_DEADLINE,
     DROP_NO_REPLICA,
     DROP_RETRY_EXHAUSTED,
     DROP_SDC,
-    trace_retired_batch,
+    InferenceRequest,
+    RetryPolicy,
 )
-from repro.serving.metrics import ServingReport, percentile
-from repro.serving.request import InferenceRequest, RetryPolicy
-from repro.serving.scheduler import Dispatch
+from repro.serving.scheduler import PipelineService, ReplicaService
 from repro.trace.metrics import MetricsRegistry, as_metrics
 from repro.trace.span import Tracer, as_tracer
 
@@ -94,34 +126,61 @@ class ClusterEngine:
     """Serve one arrival trace through a rack/board fleet.
 
     Args:
-        service: A :class:`~repro.cluster.service.FleetService` or
+        service: The deployment to serve: a
+            :class:`~repro.cluster.service.FleetService` or
             :class:`~repro.cluster.service.FleetPipelineService` (any
             service exposing ``topology`` and ``cold_start_s`` whose
-            replica names are the topology's board names).
+            replica names are the topology's board names), or any
+            service without a ``topology`` — a
+            :class:`~repro.serving.scheduler.ReplicaService`,
+            :class:`~repro.serving.scheduler.PipelineService` or a
+            duck-typed stand-in — which is served as one rack of
+            boards named by its ``replica_names()``.
         batch_policy: Dynamic-batching knobs (fleet-wide).
         admission_policy: Global queue bound and degradation knobs.
-        slo_s: Latency objective for violation accounting.
+        slo_s: Latency objective for violation accounting (finite, > 0).
         fault_schedule: Deterministic fault events — the per-board
             taxonomy plus the correlated domain events of
             :mod:`repro.cluster.events`; merge independent schedules
-            with :meth:`FaultSchedule.merge`.
+            with :meth:`FaultSchedule.merge`.  Every board event must
+            name a board and every domain event a rack of the fleet.
         retry_policy: Backoff/attempt budget for fault retries.
-        integrity_policy: ABFT handling of silent corruption; semantics
-            identical to the single engine's.
+        integrity_policy: How silent-corruption faults (transient TPE
+            upsets, uncorrectable DRAM bit-flips) are handled.  Under
+            ``OFF`` the struck batch is aborted the instant the fault
+            fires.  Under a detecting policy the corruption rides to
+            the batch's *retirement*, where the ABFT checksum
+            verification catches it: the batch pays its full service
+            time, then is dropped (``DETECT``), re-executed through the
+            deadline-aware retry path (``DETECT_REEXECUTE``), or — for
+            localizable accumulator upsets — corrected in place with no
+            re-execution (``DETECT_CORRECT``).  Link faults keep the
+            abort path under every policy: the bus protocol's own CRC
+            catches those at transfer time.
         tenant_policy: Fair-share weights and per-tenant quotas.
         autoscale_policy: Enables the gauge-driven autoscaler; ``None``
             serves from the full fleet throughout.
         hedge_retries: Steer a retried request away from the board that
             failed it when any alternative board is free.
-        tracer: Optional tracer; fleet transitions land as
-            ``cluster.*`` instants alongside the engine's usual spans.
-        metrics: Optional registry; receives the ``cluster_*`` gauges
-            and counters (the autoscaler reads the gauges back).
+        tracer: Optional tracer.  Every retired request emits its
+            lifecycle span tree (``request`` → ``queue`` / ``compute``
+            / ``dram``) stamped with the virtual clock; batches land on
+            their board's track, faults, failovers and fleet
+            transitions as instants.  Tracing only observes timestamps
+            the engine already computed.
+        metrics: Optional registry; receives the ``serving_*`` and
+            ``cluster_*`` counters and gauges and the request latency
+            histogram (the autoscaler reads the gauges back).
+
+    Raises:
+        ServingError: for a non-finite or non-positive ``slo_s``, or a
+            fleet service whose replica names are not its board names.
+        FaultError: for a fault event naming an unknown board or rack.
     """
 
     def __init__(
         self,
-        service: FleetService | FleetPipelineService,
+        service: ReplicaService | PipelineService,
         batch_policy: BatchPolicy | None = None,
         admission_policy: AdmissionPolicy | None = None,
         slo_s: float = 10e-3,
@@ -134,18 +193,25 @@ class ClusterEngine:
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
     ):
-        if slo_s <= 0:
-            raise ServingError(f"slo_s must be positive, got {slo_s}")
-        topology = getattr(service, "topology", None)
-        if not isinstance(topology, FleetTopology):
+        if not (math.isfinite(slo_s) and slo_s > 0):
             raise ServingError(
-                "cluster engine needs a fleet service (with a topology); "
-                f"got {type(service).__name__}"
+                f"slo_s must be finite and positive, got {slo_s}"
             )
-        if service.replica_names() != list(topology.board_names):
+        names = service.replica_names()
+        topology = getattr(service, "topology", None)
+        if topology is None:
+            topology = build_fleet(1, len(names), board_names=names)
+        elif not isinstance(topology, FleetTopology):
+            raise ServingError(
+                f"service topology must be a FleetTopology, got "
+                f"{type(topology).__name__}"
+            )
+        if names != list(topology.board_names):
             raise ServingError(
                 "service replica names do not match the fleet topology"
             )
+        if fault_schedule is not None:
+            _check_fault_targets(fault_schedule, topology)
         self.service = service
         self.topology = topology
         self.cold_start_s = float(getattr(service, "cold_start_s", 0.0))
@@ -178,9 +244,10 @@ class ClusterEngine:
         faults: tuple[FaultEvent, ...] = (
             self.fault_schedule.events if self.fault_schedule else ()
         )
+        multi_rack = self.topology.n_racks > 1
         monitor = HealthMonitor(
             list(self.topology.board_names), tracer=tracer,
-            domains=self.topology.domains(),
+            domains=self.topology.domains() if multi_rack else None,
         ) if faults else None
 
         scaler = Autoscaler(self.autoscale_policy, self.cold_start_s) \
@@ -657,7 +724,8 @@ class ClusterEngine:
                         t_completed.get(req.tenant, 0) + 1
                     )
                     last_failed.pop(req.request_id, None)
-                    p99_window.append((done_s, done_s - req.arrival_s))
+                    if scaler is not None:
+                        p99_window.append((done_s, done_s - req.arrival_s))
                     metrics.counter(
                         "serving_requests_completed", "requests served"
                     ).inc()
@@ -679,11 +747,12 @@ class ClusterEngine:
                     "serving_replica_utilization",
                     "busy fraction over the makespan",
                 ).set(util, replica=name)
-            for rack, util in router.rack_utilization(makespan).items():
-                metrics.gauge(
-                    "cluster_rack_utilization",
-                    "mean member busy fraction over the makespan",
-                ).set(util, rack=rack)
+            if multi_rack:
+                for rack, util in router.rack_utilization(makespan).items():
+                    metrics.gauge(
+                        "cluster_rack_utilization",
+                        "mean member busy fraction over the makespan",
+                    ).set(util, rack=rack)
             metrics.gauge(
                 "serving_queue_depth_max", "peak batcher queue depth"
             ).set(depth_max)
@@ -739,4 +808,82 @@ class ClusterEngine:
             cold_starts=cold_starts,
             cold_start_s=self.cold_start_s,
             rack_utilization=router.rack_utilization(makespan),
+        )
+
+
+def _check_fault_targets(schedule: FaultSchedule,
+                         topology: FleetTopology) -> None:
+    """Check every event names a board (or, for a domain event, a rack)
+    of ``topology``, before a run applies any of them.
+
+    Raises:
+        FaultError: naming the first event with an unknown target.
+    """
+    racks = set(topology.rack_names)
+    boards = set(topology.board_names)
+    for event in schedule.events:
+        if isinstance(event, DomainFaultEvent):
+            if event.replica not in racks:
+                raise FaultError(
+                    f"{event.kind} event names an unknown rack",
+                    replica=event.replica, at_s=event.at_s,
+                )
+        elif event.replica not in boards:
+            raise FaultError(
+                f"{event.kind} event names an unknown board",
+                replica=event.replica, at_s=event.at_s,
+            )
+
+
+def trace_retired_batch(
+    service: ReplicaService | PipelineService,
+    tracer: Tracer,
+    dispatch: Dispatch,
+    done_s: float,
+) -> None:
+    """Emit a retired batch's span and its requests' lifecycle trees.
+
+    Timestamps are the exact virtual-clock instants the engine
+    already stamped on the requests, so every ``request`` root
+    span's duration *is* that request's end-to-end latency, and the
+    ``queue`` / ``compute`` / ``dram`` children partition it.  The
+    compute/DRAM boundary applies the service model's healthy
+    compute fraction to the batch's actual (possibly slowdown- or
+    degrade-inflated) service interval; a service without
+    ``latency_split`` counts the whole interval as compute.
+    """
+    batch = dispatch.batch
+    tracer.add_span(
+        "batch", dispatch.start_s, done_s, track=dispatch.replica,
+        size=batch.size,
+    )
+    split = getattr(service, "latency_split", None)
+    compute_s, transfer_s = split(batch.size) if split else (1.0, 0.0)
+    total = compute_s + transfer_s
+    frac = compute_s / total if total > 0 else 1.0
+    for req in batch.requests:
+        root = tracer.add_span(
+            "request", req.arrival_s, done_s, track="requests",
+            id=req.request_id, status="completed",
+            replica=dispatch.replica, batch=batch.size,
+            attempts=req.attempts,
+        )
+        dispatch_s = req.dispatch_s
+        assert dispatch_s is not None
+        tracer.add_span(
+            "queue", req.arrival_s, dispatch_s, parent=root,
+            track="requests", id=req.request_id,
+        )
+        # min() guards the last-ulp case where frac == 1.0 and the
+        # add rounds a hair past done_s.
+        compute_end = min(
+            dispatch_s + (done_s - dispatch_s) * frac, done_s
+        )
+        tracer.add_span(
+            "compute", dispatch_s, compute_end, parent=root,
+            track="requests", id=req.request_id,
+        )
+        tracer.add_span(
+            "dram", compute_end, done_s, parent=root,
+            track="requests", id=req.request_id,
         )

@@ -1,9 +1,8 @@
 """The self-healing global router: health-gated board placement.
 
-The router is the fleet analogue of the single-engine
-:class:`~repro.serving.scheduler.DispatchScheduler`, with a richer
-board state machine.  A board is **routable** — eligible for new work —
-only when every gate is open:
+The router places every batch the serving loop launches, for a
+one-board deployment and a fleet alike.  A board is **routable** —
+eligible for new work — only when every gate is open:
 
 * ``healthy``   — not crashed (board-level fault);
 * ``powered``   — its rack has power;
@@ -28,7 +27,16 @@ from dataclasses import dataclass
 from repro.cluster.topology import FleetTopology
 from repro.errors import FaultError, ServingError
 from repro.serving.batcher import Batch
-from repro.serving.scheduler import Dispatch
+
+
+@dataclass(frozen=True)
+class Dispatch:
+    """Outcome of placing one batch."""
+
+    batch: Batch
+    replica: str
+    start_s: float
+    complete_s: float
 
 
 @dataclass

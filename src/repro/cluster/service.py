@@ -68,7 +68,7 @@ class FleetPipelineService(PipelineService):
     """One multi-FPGA pipeline per board, boards named by the topology.
 
     The :func:`~repro.analysis.partition.plan_deployment` placement and
-    per-stage compilation are exactly the single-engine
+    per-stage compilation are exactly the
     :class:`PipelineService`; only the naming and the cold-start cost
     (summed over the stages' weight footprints) are fleet-aware.
     """

@@ -13,8 +13,8 @@ mechanisms keep a heavy tenant from starving light ones:
 
 With a single tenant the whole structure degenerates to the plain FIFO
 :class:`~repro.serving.batcher.Batcher`: identical ready/deadline
-semantics, identical pop order — which is what lets a one-tenant
-cluster run reproduce a plain :class:`ServingEngine` run bit-for-bit.
+semantics, identical pop order — which is what makes the one-tenant
+:class:`~repro.serving.engine.ServingEngine` a FIFO batcher.
 """
 
 from __future__ import annotations
@@ -79,8 +79,7 @@ class TenantQueueSet:
 
     Mirrors the :class:`~repro.serving.batcher.Batcher` interface
     (``ready`` / ``next_deadline`` / ``next_expiry_s`` / ``expire`` /
-    ``pop`` / ``pop_all``) so the cluster engine's event loop matches
-    the single-engine loop, plus per-tenant depth accounting for quota
+    ``pop`` / ``pop_all``), plus per-tenant depth accounting for quota
     admission.  Request deadlines are tracked in a lazy min-heap, so
     the per-iteration expiry probe is O(1) instead of an O(depth) scan
     — at fleet scale the queue can hold thousands of requests.

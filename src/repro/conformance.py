@@ -34,6 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.cluster.router import ClusterRouter
+from repro.cluster.topology import build_fleet
 from repro.compiler.cache import ScheduleCache, layer_signature
 from repro.compiler.codegen import compile_schedule
 from repro.errors import FTDLError
@@ -43,7 +45,7 @@ from repro.overlay.config import OverlayConfig
 from repro.analysis.quantization import mixed_precision_report
 from repro.serving.batcher import Batch, BatchServiceModel
 from repro.serving.request import InferenceRequest
-from repro.serving.scheduler import DispatchScheduler, ReplicaService
+from repro.serving.scheduler import ReplicaService
 from repro.sim.cycle import CycleSimulator
 from repro.sim.functional import random_layer_operands
 from repro.sim.host import HostCpu
@@ -379,14 +381,19 @@ def run_workload_conformance(
     try:
         model = BatchServiceModel(network, config, cache=cache)
         service = ReplicaService(model)
-        scheduler = DispatchScheduler(service)
+        router = ClusterRouter(
+            build_fleet(1, 1, board_names=service.replica_names())
+        )
         requests = tuple(
             InferenceRequest(request_id=i, model=spec.name, arrival_s=0.0)
             for i in range(budget.batch_size)
         )
         batch = Batch(requests=requests, formed_s=0.0)
-        replica = scheduler.free_replica(0.0)
-        dispatch = scheduler.dispatch(replica, batch, 0.0)
+        dispatch = router.dispatch(
+            router.free_board(0.0), batch, 0.0,
+            occupancy_s=service.occupancy_s(batch.size),
+            latency_s=service.latency_s(batch.size),
+        )
         report.serve_batch = batch.size
         report.serve_s = dispatch.complete_s
         if dispatch.complete_s <= 0.0:

@@ -11,14 +11,15 @@ Everything runs on a deterministic virtual clock:
 * :mod:`repro.serving.request` — requests + seeded arrival processes.
 * :mod:`repro.serving.batcher` — dynamic batching and the batch-size →
   service-time model (compiled through :mod:`repro.compiler.search`).
-* :mod:`repro.serving.scheduler` — dispatch across overlay replicas or
-  a :func:`repro.analysis.partition.plan_deployment` pipeline.
+* :mod:`repro.serving.scheduler` — service models for overlay replicas
+  or a :func:`repro.analysis.partition.plan_deployment` pipeline.
 * :mod:`repro.serving.admission` — bounded queues, backpressure, and
   graceful degradation to smaller batches under load.
-* :mod:`repro.serving.engine` — the event-driven loop, including
-  fault-tolerant execution against a :class:`repro.faults.FaultSchedule`
-  (failover, deadline-aware retry, degraded-mode dispatch) and
-  result-integrity handling under a
+* :mod:`repro.serving.engine` — :class:`ServingEngine`, the event-driven
+  loop of :mod:`repro.cluster.engine` run as a one-rack, one-tenant
+  fleet, including fault-tolerant execution against a
+  :class:`repro.faults.FaultSchedule` (failover, deadline-aware retry,
+  degraded-mode dispatch) and result-integrity handling under a
   :class:`repro.integrity.IntegrityPolicy` (ABFT detection, in-place
   correction, verified re-execution).
 * :mod:`repro.serving.metrics` — throughput, p50/p95/p99, utilization,
@@ -44,11 +45,7 @@ from repro.serving.request import (
     trace_arrivals,
     uniform_arrivals,
 )
-from repro.serving.scheduler import (
-    DispatchScheduler,
-    PipelineService,
-    ReplicaService,
-)
+from repro.serving.scheduler import PipelineService, ReplicaService
 
 __all__ = [
     "AdmissionController",
@@ -58,7 +55,6 @@ __all__ = [
     "BatchPolicy",
     "Batcher",
     "BatchServiceModel",
-    "DispatchScheduler",
     "InferenceRequest",
     "IntegrityPolicy",
     "PipelineService",

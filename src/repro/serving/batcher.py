@@ -12,7 +12,10 @@ a batch of B frames runs them back-to-back (B× the per-frame cycles).
 
 :class:`Batcher` implements the standard dynamic-batching policy: launch
 when ``max_batch`` requests are waiting, or when the oldest request has
-waited ``max_wait_s``, whichever comes first.
+waited ``max_wait_s``, whichever comes first.  The serving loop queues
+through :class:`~repro.cluster.tenancy.TenantQueueSet`; the plain FIFO
+:class:`Batcher` is the reference a one-tenant queue set is tested
+against.
 """
 
 from __future__ import annotations
@@ -66,7 +69,12 @@ class Batch:
 
 
 class Batcher:
-    """FIFO queue with max-batch / max-wait launch conditions."""
+    """FIFO queue with max-batch / max-wait launch conditions.
+
+    The serving loop does not use it: it is the FIFO reference that a
+    one-tenant :class:`~repro.cluster.tenancy.TenantQueueSet` must match
+    pop for pop (``tests/test_cluster_tenancy.py``).
+    """
 
     def __init__(self, policy: BatchPolicy):
         self.policy = policy

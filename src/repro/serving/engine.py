@@ -1,118 +1,58 @@
-"""Event-driven serving loop over a virtual clock.
+"""The single-deployment serving engine.
 
-The engine is a discrete-event simulator with five event sources: the
-arrival trace, batch-formation deadlines, batch completions, retry
-timers, and an optional :class:`~repro.faults.schedule.FaultSchedule`.
-It is fully deterministic — virtual time only, no wall clock, no RNG —
-so a fixed arrival trace and fault schedule always reproduce identical
-metrics bit-for-bit.
+:class:`ServingEngine` serves one :class:`~repro.serving.scheduler.
+ReplicaService` or :class:`~repro.serving.scheduler.PipelineService`
+(or any duck-typed service with the same cost interface) through the
+repo's one discrete-event serving loop,
+:class:`~repro.cluster.engine.ClusterEngine`, configured as a fleet of
+size one: one rack holding one board per replica, one tenant (the
+default :class:`~repro.cluster.tenancy.TenantPolicy`), hedged retries
+off and no autoscaler.  Fault-tolerant execution, integrity handling,
+tracing and metrics are the loop's; see :mod:`repro.cluster.engine`.
 
-A request's end-to-end latency decomposes exactly as:
-
-    queue wait (arrival → batch launch, bounded by admission + max_wait)
-  + service    (Σ scheduled layer cycles / f_clk + DRAM transfer)
-
-with the batch-formation wait folded into the queue wait: a request that
-arrives first and waits for the batch to fill pays that wait in its
-dispatch delta.
-
-Fault-tolerant execution (when a fault schedule is supplied):
-
-* **Crashes** take a replica out of dispatch; its in-flight batches are
-  lost and their requests retried on the surviving replicas under the
-  :class:`~repro.serving.request.RetryPolicy` (capped exponential
-  backoff, deadline-aware — a retry that cannot land before a request's
-  deadline drops it instead).
-* **Transient corruption** (SEU TPE faults, uncorrectable DRAM
-  bit-flips, link glitches) poisons the in-flight batches of the struck
-  replica — same retry path — while the replica stays up.
-* **Stuck-at TPE faults** permanently mask grid tiles: the replica's
-  service times inflate to its largest healthy sub-grid's compiled
-  schedule (fault-aware compilation).  If no sub-grid remains, the
-  replica is treated as crashed.
-* **Degraded-mode admission**: while any replica is down the admission
-  controller's *fault pressure* waives batch formation, draining the
-  queue through the survivors exactly like the deep-queue watermark.
-* Requests whose deadline expires in the queue are dropped and counted
-  with a reason breakdown; if every replica is down with no recovery in
-  sight, stranded work is dropped as ``no_healthy_replica``.
+The ``DROP_*`` reasons live in :mod:`repro.serving.request` and are
+re-exported here.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-import math
 from typing import Sequence
 
-from repro.errors import FaultError, ScheduleError, ServingError
-from repro.faults.events import (
-    DramBitFlip,
-    FaultEvent,
-    LinkFault,
-    ReplicaCrash,
-    ReplicaRecovery,
-    ReplicaSlowdown,
-    TPEFault,
-)
-from repro.faults.monitor import HealthMonitor
+from repro.cluster.engine import ClusterEngine
 from repro.faults.schedule import FaultSchedule
 from repro.integrity.policy import IntegrityPolicy
-from repro.serving.admission import AdmissionController, AdmissionPolicy
-from repro.serving.batcher import Batcher, BatchPolicy
+from repro.serving.admission import AdmissionPolicy
+from repro.serving.batcher import BatchPolicy
 from repro.serving.metrics import ServingReport
-from repro.serving.request import InferenceRequest, RetryPolicy
-from repro.serving.scheduler import (
-    Dispatch,
-    DispatchScheduler,
-    PipelineService,
-    ReplicaService,
+from repro.serving.request import (
+    DROP_DEADLINE,
+    DROP_NO_REPLICA,
+    DROP_RETRY_EXHAUSTED,
+    DROP_SDC,
+    InferenceRequest,
+    RetryPolicy,
 )
-from repro.trace.metrics import MetricsRegistry, as_metrics
-from repro.trace.span import Tracer, as_tracer
+from repro.serving.scheduler import PipelineService, ReplicaService
+from repro.trace.metrics import MetricsRegistry
+from repro.trace.span import Tracer
 
-#: Drop reasons the engine emits.
-DROP_DEADLINE = "deadline"
-DROP_RETRY_EXHAUSTED = "retry_exhausted"
-DROP_NO_REPLICA = "no_healthy_replica"
-DROP_SDC = "sdc_detected"
+__all__ = [
+    "DROP_DEADLINE",
+    "DROP_NO_REPLICA",
+    "DROP_RETRY_EXHAUSTED",
+    "DROP_SDC",
+    "ServingEngine",
+]
 
 
-class ServingEngine:
-    """Run one arrival trace through batcher → scheduler → replicas.
+class ServingEngine(ClusterEngine):
+    """Run one arrival trace through batcher → router → replicas.
 
-    Args:
-        service: Replica or pipeline deployment to dispatch onto.
-        batch_policy: Dynamic-batching knobs.
-        admission_policy: Queue bound and degradation knobs.
-        slo_s: Latency objective for violation accounting.
-        fault_schedule: Optional deterministic fault events to replay
-            against the run's virtual clock.
-        retry_policy: Backoff/attempt budget for fault retries.
-        integrity_policy: How silent-corruption faults (transient TPE
-            upsets, uncorrectable DRAM bit-flips) are handled.  Under
-            the default ``OFF`` the engine keeps its omniscient
-            pre-integrity behaviour — the struck batch is aborted the
-            instant the fault fires — and the run is bit-identical to
-            earlier releases.  Under a detecting policy the corruption
-            rides to the batch's *retirement*, where the ABFT checksum
-            verification catches it: the batch pays its full service
-            time, then is dropped (``DETECT``), re-executed through the
-            deadline-aware retry path (``DETECT_REEXECUTE``), or — for
-            localizable accumulator upsets — corrected in place from
-            the syndromes with no re-execution (``DETECT_CORRECT``).
-            Link faults keep the abort path under every policy: the bus
-            protocol's own CRC catches those at transfer time.
-        tracer: Optional :class:`~repro.trace.span.Tracer`.  Every
-            retired request emits its lifecycle span tree
-            (``request`` → ``queue`` / ``compute`` / ``dram``) stamped
-            with the virtual clock; batches land on their replica's
-            track, faults and failovers as instants.  Tracing only
-            observes timestamps the engine already computed — a traced
-            run's report is identical to an untraced one.
-        metrics: Optional :class:`~repro.trace.metrics.MetricsRegistry`
-            receiving ``serving_*`` counters, the request latency
-            histogram, and per-replica utilization gauges.
+    The arguments are :class:`~repro.cluster.engine.ClusterEngine`'s
+    without the fleet knobs: requests all share one fair-share queue
+    (tenants with the default weight and no quota), a retried request
+    may land on the replica that just failed it, and every replica
+    serves from the start of the run.
     """
 
     def __init__(
@@ -127,439 +67,19 @@ class ServingEngine:
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
     ):
-        if slo_s <= 0:
-            raise ServingError(f"slo_s must be positive, got {slo_s}")
-        self.service = service
-        self.batch_policy = batch_policy or BatchPolicy()
-        self.admission_policy = admission_policy or AdmissionPolicy()
-        self.slo_s = slo_s
-        self.fault_schedule = fault_schedule
-        self.retry_policy = retry_policy or RetryPolicy()
-        self.integrity_policy = IntegrityPolicy.parse(integrity_policy)
-        self.tracer = as_tracer(tracer)
-        self.metrics = as_metrics(metrics)
+        super().__init__(
+            service,
+            batch_policy=batch_policy,
+            admission_policy=admission_policy,
+            slo_s=slo_s,
+            fault_schedule=fault_schedule,
+            retry_policy=retry_policy,
+            integrity_policy=integrity_policy,
+            hedge_retries=False,
+            tracer=tracer,
+            metrics=metrics,
+        )
 
     def run(self, requests: Sequence[InferenceRequest]) -> ServingReport:
         """Serve ``requests`` (sorted by arrival) to completion."""
-        if not requests:
-            raise ServingError("no requests to serve")
-        if any(b.arrival_s < a.arrival_s
-               for a, b in zip(requests, requests[1:])):
-            raise ServingError("requests are not sorted by arrival time")
-        model = requests[0].model
-
-        batcher = Batcher(self.batch_policy)
-        admission = AdmissionController(self.admission_policy)
-        scheduler = DispatchScheduler(self.service)
-        tracer = self.tracer
-        metrics = self.metrics
-        faults: tuple[FaultEvent, ...] = (
-            self.fault_schedule.events if self.fault_schedule else ()
-        )
-        monitor = HealthMonitor(self.service.replica_names(),
-                                tracer=tracer) \
-            if faults else None
-
-        now = requests[0].arrival_s
-        arrival_idx = 0
-        fault_idx = 0
-        seq = 0
-        retry_seq = itertools.count()
-        inflight: list[tuple[float, int, Dispatch]] = []
-        retryq: list[tuple[float, int, InferenceRequest]] = []
-        aborted: set[int] = set()
-        inflight_seqs: dict[int, Dispatch] = {}
-        completed: list[InferenceRequest] = []
-        dropped: list[InferenceRequest] = []
-        fault_counts: dict[str, int] = {}
-        policy = self.integrity_policy
-        corrupt: dict[int, str] = {}  # in-flight seq -> corruption cause
-        integrity_counts: dict[str, int] = {}
-        n_retries = 0
-        masked: dict[str, set] = {}  # replica -> stuck TPE coords
-        depth_integral = 0.0
-        depth_max = 0
-        t_start = requests[0].arrival_s
-        t_last_complete = t_start
-
-        def drop(request: InferenceRequest, reason: str,
-                 at_s: float) -> None:
-            request.drop_reason = reason
-            dropped.append(request)
-            metrics.counter(
-                "serving_requests_dropped", "requests dropped, by reason"
-            ).inc(reason=reason)
-            tracer.add_span(
-                "request", request.arrival_s, max(at_s, request.arrival_s),
-                track="requests", id=request.request_id, status="dropped",
-                reason=reason, attempts=request.attempts,
-            )
-
-        def retry_or_drop(request: InferenceRequest, at_s: float) -> None:
-            """Requeue a fault-struck request, or drop it."""
-            nonlocal n_retries
-            if request.attempts >= self.retry_policy.max_attempts:
-                drop(request, DROP_RETRY_EXHAUSTED, at_s)
-                return
-            retry_at = at_s + self.retry_policy.backoff_s(request.attempts)
-            if retry_at >= request.deadline_at_s:
-                drop(request, DROP_DEADLINE, at_s)
-                return
-            n_retries += 1
-            metrics.counter(
-                "serving_retries", "fault-driven retry dispatches"
-            ).inc()
-            tracer.instant(
-                "failover.retry", at=at_s, track="engine",
-                id=request.request_id, retry_at_s=retry_at,
-            )
-            heapq.heappush(retryq, (retry_at, next(retry_seq), request))
-
-        def abort_inflight(replica: str, at_s: float) -> None:
-            """Poison every batch in flight on ``replica``."""
-            for seq_id, dispatch in list(inflight_seqs.items()):
-                if dispatch.replica != replica or seq_id in aborted:
-                    continue
-                aborted.add(seq_id)
-                del inflight_seqs[seq_id]
-                corrupt.pop(seq_id, None)
-                scheduler.by_name(replica).aborted_batches += 1
-                for request in dispatch.batch.requests:
-                    retry_or_drop(request, at_s)
-
-        def mark_corrupt(replica: str, cause: str) -> None:
-            """Silently corrupt the batches in flight on ``replica``.
-
-            Unlike :func:`abort_inflight` nothing happens *now*: the
-            batch keeps computing and the checksum verification settles
-            its fate at retirement.  A batch struck more than once
-            escalates to cause ``"multiple"`` — stacked corruptions are
-            never localizable to a single element, so correction is off
-            the table and only re-execution recovers the result.
-            """
-            for seq_id, dispatch in inflight_seqs.items():
-                if dispatch.replica != replica:
-                    continue
-                corrupt[seq_id] = (
-                    cause if seq_id not in corrupt else "multiple"
-                )
-
-        def apply_fault(event: FaultEvent) -> None:
-            assert monitor is not None
-            fault_counts[event.kind] = fault_counts.get(event.kind, 0) + 1
-            metrics.counter(
-                "faults_injected", "fault events applied, by kind"
-            ).inc(kind=event.kind)
-            tracer.instant(
-                f"fault.{event.kind}", at=event.at_s, track=event.replica,
-            )
-            if isinstance(event, ReplicaCrash):
-                replica = scheduler.by_name(event.replica)
-                if replica.healthy:
-                    abort_inflight(event.replica, event.at_s)
-                    scheduler.crash(event.replica, event.at_s)
-                    monitor.record_crash(event.replica, event.at_s)
-            elif isinstance(event, ReplicaRecovery):
-                scheduler.recover(event.replica, event.at_s)
-                monitor.record_recovery(event.replica, event.at_s)
-            elif isinstance(event, ReplicaSlowdown):
-                replica = scheduler.by_name(event.replica)
-                if replica.healthy:
-                    replica.slow_factor = event.factor
-                    monitor.record_slowdown(event.replica, event.at_s)
-            elif isinstance(event, TPEFault):
-                if event.stuck:
-                    coords = masked.setdefault(event.replica, set())
-                    coords.add(event.coord)
-                    replica = scheduler.by_name(event.replica)
-                    try:
-                        replica.degrade_factor = (
-                            self.service.degrade_slowdown(
-                                frozenset(coords),
-                                self.batch_policy.max_batch,
-                            )
-                        )
-                    except (FaultError, ScheduleError):
-                        # No healthy (schedulable) sub-grid left: the
-                        # overlay is gone.
-                        if replica.healthy:
-                            abort_inflight(event.replica, event.at_s)
-                            scheduler.crash(event.replica, event.at_s)
-                            monitor.record_crash(event.replica, event.at_s)
-                elif policy.detects:
-                    mark_corrupt(event.replica, "tpe_transient")
-                else:
-                    abort_inflight(event.replica, event.at_s)
-            elif isinstance(event, DramBitFlip):
-                if not event.correctable:
-                    monitor.record_dram_uncorrectable(
-                        event.replica, event.at_s
-                    )
-                    if policy.detects:
-                        mark_corrupt(event.replica, "dram_uncorrectable")
-                    else:
-                        abort_inflight(event.replica, event.at_s)
-            elif isinstance(event, LinkFault):
-                abort_inflight(event.replica, event.at_s)
-            admission.fault_pressure = (
-                scheduler.n_healthy < len(scheduler.replicas)
-            )
-
-        while (arrival_idx < len(requests) or retryq or len(batcher)
-               or inflight_seqs):
-            # Apply fault events due at the current instant first: a
-            # crash at t must not receive work dispatched at t.
-            while fault_idx < len(faults) and faults[fault_idx].at_s <= now:
-                apply_fault(faults[fault_idx])
-                fault_idx += 1
-
-            # Requeue retries that have served their backoff.
-            while retryq and retryq[0][0] <= now:
-                _, _, request = heapq.heappop(retryq)
-                batcher.push(request)
-                depth_max = max(depth_max, batcher.depth)
-
-            # Admit every arrival due at the current instant, so a burst
-            # landing at one timestamp batches together.
-            while (arrival_idx < len(requests)
-                   and requests[arrival_idx].arrival_s <= now):
-                request = requests[arrival_idx]
-                arrival_idx += 1
-                if admission.admit(batcher.depth):
-                    batcher.push(request)
-                    depth_max = max(depth_max, batcher.depth)
-
-            # Shed queued requests whose deadline has already passed.
-            for request in batcher.expire(now):
-                drop(request, DROP_DEADLINE, now)
-
-            # Launch batches while a replica is free and the policy fires.
-            while True:
-                replica = scheduler.free_replica(now)
-                if replica is None:
-                    break
-                degraded = admission.degraded(batcher.depth)
-                if not batcher.ready(now, degraded=degraded):
-                    break
-                if degraded:
-                    admission.degraded_dispatches += 1
-                batch = batcher.pop(now)
-                dispatch = scheduler.dispatch(replica, batch, now)
-                for req in batch.requests:
-                    req.dispatch_s = now
-                    req.batch_size = batch.size
-                    req.replica = dispatch.replica
-                    req.attempts += 1
-                seq += 1
-                inflight_seqs[seq] = dispatch
-                heapq.heappush(
-                    inflight, (dispatch.complete_s, seq, dispatch)
-                )
-
-            # Advance the clock to the next event.
-            candidates = []
-            if arrival_idx < len(requests):
-                candidates.append(requests[arrival_idx].arrival_s)
-            if retryq:
-                candidates.append(retryq[0][0])
-            if inflight_seqs:
-                candidates.append(inflight[0][0])
-            if fault_idx < len(faults):
-                candidates.append(faults[fault_idx].at_s)
-            if len(batcher):
-                # A queued batch can next launch at its formation
-                # deadline or when a replica frees, whichever is later —
-                # provided any healthy replica exists; it can also shed
-                # work at the earliest queued deadline.
-                next_free = scheduler.next_free_s()
-                if math.isfinite(next_free):
-                    candidates.append(
-                        max(batcher.next_deadline(), next_free)
-                    )
-                expiry = batcher.next_expiry_s()
-                if math.isfinite(expiry):
-                    candidates.append(expiry)
-            if not candidates:
-                # No replica will ever free and no event is pending:
-                # strand-drop whatever is still queued or backing off.
-                for request in batcher.pop_all():
-                    drop(request, DROP_NO_REPLICA, now)
-                while retryq:
-                    _, _, request = heapq.heappop(retryq)
-                    drop(request, DROP_NO_REPLICA, now)
-                break
-            next_t = max(min(candidates), now)
-            depth_integral += batcher.depth * (next_t - now)
-            now = next_t
-
-            # Retire completions due at the new instant.
-            while inflight and inflight[0][0] <= now:
-                done_s, seq_id, dispatch = heapq.heappop(inflight)
-                if seq_id in aborted:
-                    aborted.discard(seq_id)
-                    continue
-                del inflight_seqs[seq_id]
-                cause = corrupt.pop(seq_id, None)
-                if cause is not None:
-                    # The batch's ABFT verification fails here, after it
-                    # paid its full service time.
-                    integrity_counts["sdc_detected"] = (
-                        integrity_counts.get("sdc_detected", 0) + 1
-                    )
-                    metrics.counter(
-                        "integrity_events", "ABFT verification outcomes"
-                    ).inc(kind="sdc_detected", cause=cause)
-                    tracer.instant(
-                        "integrity.sdc_detected", at=done_s,
-                        track=dispatch.replica, cause=cause,
-                        size=dispatch.batch.size,
-                    )
-                    if policy.corrects and cause == "tpe_transient":
-                        # A lone accumulator upset: the row/column
-                        # syndromes localize it and the repaired output
-                        # re-verifies — serve the batch normally.
-                        integrity_counts["corrected"] = (
-                            integrity_counts.get("corrected", 0) + 1
-                        )
-                        metrics.counter(
-                            "integrity_events", "ABFT verification outcomes"
-                        ).inc(kind="corrected", cause=cause)
-                        tracer.instant(
-                            "integrity.corrected", at=done_s,
-                            track=dispatch.replica,
-                        )
-                    elif policy.reexecutes:
-                        integrity_counts["reexecuted"] = (
-                            integrity_counts.get("reexecuted", 0) + 1
-                        )
-                        metrics.counter(
-                            "integrity_events", "ABFT verification outcomes"
-                        ).inc(kind="reexecuted", cause=cause)
-                        tracer.instant(
-                            "integrity.reexecuted", at=done_s,
-                            track=dispatch.replica,
-                            size=dispatch.batch.size,
-                        )
-                        for req in dispatch.batch.requests:
-                            retry_or_drop(req, done_s)
-                        continue
-                    else:
-                        integrity_counts["dropped"] = (
-                            integrity_counts.get("dropped", 0) + 1
-                        )
-                        metrics.counter(
-                            "integrity_events", "ABFT verification outcomes"
-                        ).inc(kind="dropped", cause=cause)
-                        for req in dispatch.batch.requests:
-                            drop(req, DROP_SDC, done_s)
-                        continue
-                for req in dispatch.batch.requests:
-                    req.complete_s = done_s
-                    completed.append(req)
-                    metrics.counter(
-                        "serving_requests_completed", "requests served"
-                    ).inc()
-                    metrics.histogram(
-                        "serving_request_latency_s",
-                        "end-to-end request latency, seconds",
-                    ).observe(done_s - req.arrival_s)
-                if tracer.enabled:
-                    self._trace_batch(tracer, dispatch, done_s)
-                t_last_complete = max(t_last_complete, done_s)
-
-        makespan = t_last_complete - t_start
-        if metrics.enabled:
-            for name, util in scheduler.utilization(makespan).items():
-                metrics.gauge(
-                    "serving_replica_utilization",
-                    "busy fraction over the makespan",
-                ).set(util, replica=name)
-            metrics.gauge(
-                "serving_queue_depth_max", "peak batcher queue depth"
-            ).set(depth_max)
-            metrics.counter(
-                "serving_requests_rejected", "arrivals refused by admission"
-            ).inc(admission.rejected)
-        return ServingReport(
-            model=model,
-            completed=tuple(completed),
-            n_rejected=admission.rejected,
-            slo_s=self.slo_s,
-            makespan_s=makespan,
-            queue_depth_time_avg=(
-                depth_integral / makespan if makespan > 0 else 0.0
-            ),
-            queue_depth_max=depth_max,
-            utilization=scheduler.utilization(makespan),
-            degraded_dispatches=admission.degraded_dispatches,
-            cache_stats=self.service.cache_stats(),
-            dropped=tuple(dropped),
-            n_retries=n_retries,
-            fault_counts=dict(sorted(fault_counts.items())),
-            integrity_policy=policy.value if policy.detects else None,
-            integrity_counts=dict(sorted(integrity_counts.items())),
-            health=(
-                monitor.finalize(t_last_complete, t_start)
-                if monitor is not None else None
-            ),
-        )
-
-    def _trace_batch(self, tracer: Tracer, dispatch: Dispatch,
-                     done_s: float) -> None:
-        trace_retired_batch(self.service, tracer, dispatch, done_s)
-
-
-def trace_retired_batch(
-    service: ReplicaService | PipelineService,
-    tracer: Tracer,
-    dispatch: Dispatch,
-    done_s: float,
-) -> None:
-    """Emit a retired batch's span and its requests' lifecycle trees.
-
-    Timestamps are the exact virtual-clock instants the engine
-    already stamped on the requests, so every ``request`` root
-    span's duration *is* that request's end-to-end latency, and the
-    ``queue`` / ``compute`` / ``dram`` children partition it.  The
-    compute/DRAM boundary applies the service model's healthy
-    compute fraction to the batch's actual (possibly slowdown- or
-    degrade-inflated) service interval.
-
-    Shared by the single-engine and cluster event loops, so fleet
-    traces carry identical lifecycle trees.
-    """
-    batch = dispatch.batch
-    tracer.add_span(
-        "batch", dispatch.start_s, done_s, track=dispatch.replica,
-        size=batch.size,
-    )
-    split = getattr(service, "latency_split", None)
-    compute_s, transfer_s = split(batch.size) if split else (1.0, 0.0)
-    total = compute_s + transfer_s
-    frac = compute_s / total if total > 0 else 1.0
-    for req in batch.requests:
-        root = tracer.add_span(
-            "request", req.arrival_s, done_s, track="requests",
-            id=req.request_id, status="completed",
-            replica=dispatch.replica, batch=batch.size,
-            attempts=req.attempts,
-        )
-        dispatch_s = req.dispatch_s
-        assert dispatch_s is not None
-        tracer.add_span(
-            "queue", req.arrival_s, dispatch_s, parent=root,
-            track="requests", id=req.request_id,
-        )
-        # min() guards the last-ulp case where frac == 1.0 and the
-        # add rounds a hair past done_s.
-        compute_end = min(
-            dispatch_s + (done_s - dispatch_s) * frac, done_s
-        )
-        tracer.add_span(
-            "compute", dispatch_s, compute_end, parent=root,
-            track="requests", id=req.request_id,
-        )
-        tracer.add_span(
-            "dram", compute_end, done_s, parent=root,
-            track="requests", id=req.request_id,
-        )
+        return super().run(requests).core

@@ -35,6 +35,13 @@ def require_finite(name: str, value: float) -> float:
     return value
 
 
+#: Drop reasons the serving loop stamps on ``InferenceRequest.drop_reason``.
+DROP_DEADLINE = "deadline"
+DROP_RETRY_EXHAUSTED = "retry_exhausted"
+DROP_NO_REPLICA = "no_healthy_replica"
+DROP_SDC = "sdc_detected"
+
+
 @dataclass
 class InferenceRequest:
     """One inference request travelling through the serving runtime.
@@ -53,10 +60,10 @@ class InferenceRequest:
         attempts: Dispatch attempts consumed (> 1 means the request was
             retried after a fault).
         drop_reason: Why the request was dropped (``None`` if it was
-            not), e.g. ``"deadline"`` or ``"retry_exhausted"``.
+            not): one of the ``DROP_*`` reasons above.
         tenant: Owning tenant for fleet-scale fair-share admission
-            (:mod:`repro.cluster`); single-engine runs leave the
-            default and behave exactly as before.
+            (:mod:`repro.cluster`); :class:`ServingEngine` runs leave the
+            default.
     """
 
     request_id: int

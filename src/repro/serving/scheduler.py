@@ -1,6 +1,8 @@
-"""Dispatch across overlay replicas or a multi-FPGA pipeline.
+"""Service models for overlay replicas or a multi-FPGA pipeline.
 
-Two deployment shapes, one dispatch interface:
+Two deployment shapes, one cost interface (``latency_s`` /
+``occupancy_s`` / ``latency_split`` / ``degrade_slowdown`` /
+``replica_names``):
 
 * :class:`ReplicaService` — N identical single-overlay replicas, each
   serving whole batches end-to-end.  A batch occupies its replica for the
@@ -12,25 +14,24 @@ Two deployment shapes, one dispatch interface:
   pipeline accepts the next batch after only the *bottleneck* stage time
   (initiation interval), so occupancy < latency.
 
-:class:`DispatchScheduler` is deployment-agnostic: it tracks per-replica
-free times and busy accounting, and places each batch on the replica
-that frees earliest.
+Placement is not here: the serving loop
+(:class:`~repro.cluster.engine.ClusterEngine`) places batches with the
+:class:`~repro.cluster.router.ClusterRouter`, which serves a service of
+either shape as one rack with one board per replica.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
-from dataclasses import dataclass
 from typing import Collection
 
 from repro.analysis.partition import plan_deployment
 from repro.compiler.cache import CacheStats, ScheduleCache
-from repro.errors import FaultError, ServingError
+from repro.errors import ServingError
 from repro.faults.events import TpeCoord
 from repro.faults.mask import FaultMask, largest_healthy_subgrid
 from repro.overlay.config import OverlayConfig
-from repro.serving.batcher import Batch, BatchServiceModel
+from repro.serving.batcher import BatchServiceModel
 from repro.workloads.network import Network
 
 
@@ -206,132 +207,3 @@ class PipelineService:
                 / stage.service_s(batch_size)
             )
         return worst
-
-
-@dataclass
-class ReplicaState:
-    """Dispatch and health bookkeeping for one replica.
-
-    Attributes:
-        healthy: False while crashed; the scheduler never places work
-            on an unhealthy replica.
-        slow_factor: Service-time multiplier from throttling faults
-            (1.0 = full speed); cleared on recovery.
-        degrade_factor: Service-time multiplier from running on a
-            masked (degraded) sub-grid; permanent for the run.
-    """
-
-    name: str
-    free_at_s: float = 0.0
-    busy_s: float = 0.0
-    batches: int = 0
-    requests: int = 0
-    healthy: bool = True
-    slow_factor: float = 1.0
-    degrade_factor: float = 1.0
-    crashes: int = 0
-    aborted_batches: int = 0
-
-    @property
-    def service_factor(self) -> float:
-        """Combined service-time inflation for new dispatches."""
-        return self.slow_factor * self.degrade_factor
-
-
-@dataclass(frozen=True)
-class Dispatch:
-    """Outcome of placing one batch."""
-
-    batch: Batch
-    replica: str
-    start_s: float
-    complete_s: float
-
-
-class DispatchScheduler:
-    """Earliest-free placement of batches onto *healthy* replicas."""
-
-    def __init__(self, service: ReplicaService | PipelineService):
-        self.service = service
-        self.replicas = [
-            ReplicaState(name=name) for name in service.replica_names()
-        ]
-        self._by_name = {r.name: r for r in self.replicas}
-
-    def by_name(self, name: str) -> ReplicaState:
-        """Look up one replica's state.
-
-        Raises:
-            FaultError: for an unknown replica name.
-        """
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise FaultError("unknown replica", replica=name) from None
-
-    @property
-    def n_healthy(self) -> int:
-        return sum(1 for r in self.replicas if r.healthy)
-
-    def free_replica(self, now_s: float) -> ReplicaState | None:
-        """The free healthy replica with the lowest index, or None."""
-        for replica in self.replicas:
-            if replica.healthy and replica.free_at_s <= now_s:
-                return replica
-        return None
-
-    def next_free_s(self) -> float:
-        """Earliest instant a healthy replica frees (inf if none up)."""
-        return min(
-            (r.free_at_s for r in self.replicas if r.healthy),
-            default=math.inf,
-        )
-
-    def crash(self, name: str, now_s: float) -> ReplicaState:
-        """Mark ``name`` crashed; rolls back its unfinished busy time."""
-        replica = self.by_name(name)
-        if replica.healthy:
-            replica.healthy = False
-            replica.crashes += 1
-            if replica.free_at_s > now_s:
-                replica.busy_s -= replica.free_at_s - now_s
-                replica.free_at_s = now_s
-        return replica
-
-    def recover(self, name: str, now_s: float) -> ReplicaState:
-        """Return ``name`` to healthy full-speed service at ``now_s``."""
-        replica = self.by_name(name)
-        if not replica.healthy:
-            replica.healthy = True
-            replica.free_at_s = max(replica.free_at_s, now_s)
-        replica.slow_factor = 1.0
-        return replica
-
-    def dispatch(self, replica: ReplicaState, batch: Batch,
-                 now_s: float) -> Dispatch:
-        """Place ``batch`` on ``replica`` starting at ``now_s``."""
-        if not replica.healthy:
-            raise ServingError(f"replica {replica.name} is down")
-        if replica.free_at_s > now_s:
-            raise ServingError(
-                f"replica {replica.name} busy until {replica.free_at_s:.6f}"
-            )
-        factor = replica.service_factor
-        occupancy = self.service.occupancy_s(batch.size) * factor
-        latency = self.service.latency_s(batch.size) * factor
-        replica.free_at_s = now_s + occupancy
-        replica.busy_s += occupancy
-        replica.batches += 1
-        replica.requests += batch.size
-        return Dispatch(
-            batch=batch,
-            replica=replica.name,
-            start_s=now_s,
-            complete_s=now_s + latency,
-        )
-
-    def utilization(self, makespan_s: float) -> dict[str, float]:
-        """Busy fraction per replica over the run's makespan."""
-        if makespan_s <= 0:
-            return {r.name: 0.0 for r in self.replicas}
-        return {r.name: r.busy_s / makespan_s for r in self.replicas}

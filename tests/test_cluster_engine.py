@@ -15,11 +15,15 @@ from repro.cluster import (
     build_fleet,
     weight_load_s,
 )
-from repro.errors import ServingError
+from repro.errors import FaultError, ServingError
 from repro.faults import (
+    DramBitFlip,
     FaultSchedule,
+    LinkFault,
     ReplicaCrash,
     ReplicaRecovery,
+    ReplicaSlowdown,
+    TPEFault,
     generate_fault_schedule,
 )
 from repro.faults.monitor import HealthMonitor
@@ -458,9 +462,34 @@ class TestObservability:
 
 
 class TestValidation:
-    def test_rejects_plain_replica_service(self):
-        with pytest.raises(ServingError):
-            ClusterEngine(ReplicaService(model(), n_replicas=2))
+    def test_plain_replica_service_runs_as_one_rack(self):
+        """A service without a topology is served as one rack of boards
+        named by its replicas: the core report equals ServingEngine's,
+        and a single rack gets no per-domain rollup or rack gauges."""
+        names = ["overlay0", "overlay1"]
+        kwargs = dict(
+            batch_policy=BatchPolicy(max_batch=8, max_wait_s=0.5e-3),
+            fault_schedule=board_schedule(names),
+            retry_policy=RetryPolicy(max_attempts=4, backoff_base_s=0.2e-3),
+            integrity_policy="detect-correct",
+        )
+        load = dict(n=600, rate=12000.0, deadline_s=5e-3)
+        metrics = MetricsRegistry()
+        cluster = ClusterEngine(
+            ReplicaService(model(), n_replicas=2), hedge_retries=False,
+            metrics=metrics, **kwargs,
+        ).run(arrivals(**load))
+        single = ServingEngine(
+            ReplicaService(model(), n_replicas=2), **kwargs
+        ).run(arrivals(**load))
+        assert (cluster.n_racks, cluster.n_boards) == (1, 2)
+        assert snapshot(cluster) == snapshot(single)
+        assert cluster.core.health.describe() == single.health.describe()
+        assert cluster.core.health.per_domain == {}
+        from repro.trace import prometheus_text
+        text = prometheus_text(metrics)
+        assert "serving_replica_utilization" in text
+        assert "cluster_rack_utilization" not in text
 
     def test_rejects_empty_requests(self):
         topo = build_fleet(1, 1)
@@ -478,8 +507,63 @@ class TestValidation:
 
     def test_rejects_nonpositive_slo(self):
         topo = build_fleet(1, 1)
-        with pytest.raises(ServingError):
-            ClusterEngine(FleetService(model(), topo), slo_s=0.0)
+        for slo_s in (0.0, -1e-3, float("nan"), float("inf")):
+            with pytest.raises(ServingError, match="slo_s"):
+                ClusterEngine(FleetService(model(), topo), slo_s=slo_s)
+
+
+class TestFaultTargets:
+    """Every fault event's target is checked when the engine is built:
+    a board event must name a board, a domain event a rack."""
+
+    TOPO = build_fleet(2, 2)
+
+    def _build(self, event):
+        return ClusterEngine(
+            FleetService(model(), self.TOPO),
+            fault_schedule=FaultSchedule.from_events([event]),
+        )
+
+    @pytest.mark.parametrize("make", [
+        lambda name: ReplicaCrash(1e-3, name),
+        lambda name: ReplicaRecovery(1e-3, name),
+        lambda name: ReplicaSlowdown(1e-3, name, factor=2.0),
+        lambda name: TPEFault(1e-3, name, 0, 0, 0, stuck=True),
+        lambda name: DramBitFlip(1e-3, name, correctable=False),
+        lambda name: LinkFault(1e-3, name),
+    ])
+    def test_board_event_must_name_a_board(self, make):
+        for target in ("nope", "rack0"):
+            with pytest.raises(FaultError, match="unknown board") as info:
+                self._build(make(target))
+            assert info.value.replica == target
+            assert info.value.at_s == 1e-3
+        self._build(make("rack1/b0"))
+
+    @pytest.mark.parametrize("make", [
+        lambda name: RackPowerLoss(2e-3, name),
+        lambda name: RackPowerRestore(2e-3, name),
+        lambda name: NetworkPartition(2e-3, name),
+        lambda name: NetworkHeal(2e-3, name),
+        lambda name: CorrelatedDramFault(2e-3, name, n_flips=2),
+    ])
+    def test_domain_event_must_name_a_rack(self, make):
+        for target in ("nope", "rack0/b1"):
+            with pytest.raises(FaultError, match="unknown rack") as info:
+                self._build(make(target))
+            assert info.value.replica == target
+            assert info.value.at_s == 2e-3
+        self._build(make("rack1"))
+
+    def test_serving_engine_checks_before_running(self):
+        # Before the check a link fault or DRAM upset on an unknown
+        # replica was counted as applied and did nothing.
+        for event in (LinkFault(0.0, "nope"), DramBitFlip(0.0, "nope")):
+            with pytest.raises(FaultError, match="unknown board"):
+                ServingEngine(
+                    ReplicaService(model(), n_replicas=2),
+                    fault_schedule=FaultSchedule.from_events([event]),
+                )
 
 
 class TestDeterminism:
@@ -548,6 +632,5 @@ class TestDomainHealthMonitor:
         assert "domains" not in report.describe()
 
     def test_unknown_domain_member_rejected(self):
-        from repro.errors import FaultError
         with pytest.raises(FaultError):
             HealthMonitor(["a"], domains={"zz": "rack0"})

@@ -132,8 +132,9 @@ class TestEngineSemantics:
             ServingEngine(StubService()).run([])
 
     def test_invalid_slo(self):
-        with pytest.raises(ServingError):
-            ServingEngine(StubService(), slo_s=0.0)
+        for slo_s in (0.0, -1e-3, float("nan"), float("inf")):
+            with pytest.raises(ServingError, match="slo_s"):
+                ServingEngine(StubService(), slo_s=slo_s)
 
 
 class TestEngineOnRealModel:

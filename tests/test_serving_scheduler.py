@@ -1,15 +1,13 @@
-"""Replica dispatch and pipeline service models."""
+"""Pipeline and replica service models, and their batch placement."""
 
 import pytest
 
+from repro.cluster.router import ClusterRouter
+from repro.cluster.topology import build_fleet
 from repro.errors import FTDLError, ServingError
 from repro.serving.batcher import Batch, BatchServiceModel
 from repro.serving.request import InferenceRequest
-from repro.serving.scheduler import (
-    DispatchScheduler,
-    PipelineService,
-    ReplicaService,
-)
+from repro.serving.scheduler import PipelineService, ReplicaService
 from repro.workloads.layers import EwopLayer, MatMulLayer
 from repro.workloads.network import Network
 
@@ -76,31 +74,46 @@ class TestPipelineService:
         assert stats.misses >= svc.n_devices  # every stage compiled
 
 
-class TestDispatchScheduler:
+def _router(svc: ReplicaService) -> ClusterRouter:
+    """The serving loop's placement for ``svc``: one rack, one board
+    per replica."""
+    names = svc.replica_names()
+    return ClusterRouter(build_fleet(1, len(names), board_names=names))
+
+
+def _place(router, svc, board, batch, now_s):
+    return router.dispatch(
+        board, batch, now_s,
+        occupancy_s=svc.occupancy_s(batch.size),
+        latency_s=svc.latency_s(batch.size),
+    )
+
+
+class TestRouterPlacement:
     def test_earliest_free_placement(self, tiny_config):
         svc = ReplicaService(BatchServiceModel(_net(), tiny_config), 2)
-        sched = DispatchScheduler(svc)
-        r0 = sched.free_replica(0.0)
-        d0 = sched.dispatch(r0, _batch(2), 0.0)
-        r1 = sched.free_replica(0.0)
-        assert r1 is not r0
-        sched.dispatch(r1, _batch(2), 0.0)
-        assert sched.free_replica(0.0) is None
-        assert sched.next_free_s() == pytest.approx(d0.complete_s)
+        router = _router(svc)
+        b0 = router.free_board(0.0)
+        d0 = _place(router, svc, b0, _batch(2), 0.0)
+        b1 = router.free_board(0.0)
+        assert b1 is not b0
+        _place(router, svc, b1, _batch(2), 0.0)
+        assert router.free_board(0.0) is None
+        assert router.next_free_s() == pytest.approx(d0.complete_s)
 
     def test_dispatch_busy_replica_raises(self, tiny_config):
         svc = ReplicaService(BatchServiceModel(_net(), tiny_config), 1)
-        sched = DispatchScheduler(svc)
-        replica = sched.free_replica(0.0)
-        sched.dispatch(replica, _batch(1), 0.0)
+        router = _router(svc)
+        board = router.free_board(0.0)
+        _place(router, svc, board, _batch(1), 0.0)
         with pytest.raises(ServingError):
-            sched.dispatch(replica, _batch(1), 0.0)
+            _place(router, svc, board, _batch(1), 0.0)
 
     def test_utilization_accounting(self, tiny_config):
         svc = ReplicaService(BatchServiceModel(_net(), tiny_config), 2)
-        sched = DispatchScheduler(svc)
-        replica = sched.free_replica(0.0)
-        d = sched.dispatch(replica, _batch(1), 0.0)
-        util = sched.utilization(makespan_s=2 * d.complete_s)
+        router = _router(svc)
+        board = router.free_board(0.0)
+        d = _place(router, svc, board, _batch(1), 0.0)
+        util = router.utilization(makespan_s=2 * d.complete_s)
         assert util["overlay0"] == pytest.approx(0.5)
         assert util["overlay1"] == 0.0
