@@ -14,8 +14,9 @@ while getting progressively cheaper:
    identical warm or cold).
 
 Also flips the cycle simulator between its two functional engines —
-the per-MACC reference datapath walk and the vectorized NumPy lattice
-enumeration — and checks they agree bit for bit.
+the per-MACC reference datapath walk and the default engine, which
+proves the mapping's coverage and returns the golden kernel's output —
+and checks they agree bit for bit.
 
 Run:  PYTHONPATH=src python examples/compile_cache_demo.py
 """
@@ -72,7 +73,7 @@ def main() -> None:
         assert a.estimate == b.estimate == c.estimate
     print("all three compile paths returned identical schedules")
 
-    # Functional engines: reference datapath walk vs vectorized lattice.
+    # Functional engines: reference datapath walk vs coverage proof.
     layer = layers[0]
     compiled = compile_schedule(baseline[0])
     weights, acts = random_layer_operands(layer, np.random.default_rng(0))

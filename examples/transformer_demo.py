@@ -7,7 +7,7 @@ Three stops:
    through the cycle-level pipeline simulator: projections on the
    overlay, the score matmul streaming the layernorm output through the
    weight port (`weight_source`), softmax/layernorm/residual on the
-   host CPU, every accelerated layer golden-checked.
+   host CPU, every accelerated layer's coverage proven.
 2. **Conformance** — the same workload through the full-stack harness:
    search, sim vs golden, serving, fault-masked recompile, ABFT,
    host-kernel determinism.
@@ -60,7 +60,7 @@ def main() -> None:
               f"{stage.overlay_cycles:12d} {stage.host_cycles:9d}")
     bound = "host" if run.host_bound else "overlay"
     print(f"pipelined: {run.pipelined_cycles} cycles ({bound}-bound), "
-          f"output {run.output.shape}, every overlay layer golden-checked")
+          f"output {run.output.shape}, every overlay layer coverage-proven")
 
     # ---------------------------------------------------------------- #
     # 2. The full-stack conformance harness on the same workload.

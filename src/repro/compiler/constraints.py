@@ -20,18 +20,40 @@ from repro.workloads.layers import ConvLayer, MatMulLayer
 AcceleratedLayer = ConvLayer | MatMulLayer
 
 
+def coverage_violations(
+    layer: AcceleratedLayer,
+    mapping: MappingVectors,
+) -> list[str]:
+    """Loop-name and Eqn-11 violations of ``mapping`` (empty = covered).
+
+    The mapping must name exactly the layer's loops, and every loop's
+    padded size must reach its true trip count.
+    """
+    sizes = layer.loop_sizes
+    expected = tuple(sizes)
+    if mapping.loop_names != expected:
+        return [f"mapping loops {mapping.loop_names} != layer loops {expected}"]
+    violations = []
+    for name, size in sizes.items():
+        padded = mapping.loop_product(name)
+        if padded < size:
+            violations.append(
+                f"loop {name} covered {padded} < required {size}"
+            )
+    return violations
+
+
 def check_constraints(
     layer: AcceleratedLayer,
     config: OverlayConfig,
     mapping: MappingVectors,
 ) -> list[str]:
     """Return all constraint violations of ``mapping`` (empty = feasible)."""
+    coverage = coverage_violations(layer, mapping)
+    if coverage and mapping.loop_names != tuple(layer.loop_sizes):
+        # A mapping over other loops cannot be checked any further.
+        return coverage
     violations: list[str] = []
-    sizes = layer.loop_sizes
-
-    expected = tuple(sizes)
-    if mapping.loop_names != expected:
-        return [f"mapping loops {mapping.loop_names} != layer loops {expected}"]
 
     # 1. Adjacency.
     matrix = adjacency_matrix(layer)
@@ -52,12 +74,7 @@ def check_constraints(
             )
 
     # 2b. Eqn 11: full coverage of every workload loop.
-    for name, size in sizes.items():
-        padded = mapping.loop_product(name)
-        if padded < size:
-            violations.append(
-                f"loop {name} covered {padded} < required {size}"
-            )
+    violations.extend(coverage)
 
     # 3. Buffer capacities.
     actbuf = layer.act_footprint(mapping.tile(("T",)))

@@ -6,11 +6,15 @@ workload through the whole stack and reports what held:
 1. **Search**: every accelerated layer schedules on the target overlay
    (one shared :class:`~repro.compiler.cache.ScheduleCache`, beam widths
    from the budget).
-2. **Simulation**: sampled layers run on the cycle simulator; the
-   vectorized and reference functional engines must agree bit-for-bit
-   with each other and with the functional golden kernels under wrap-48,
-   useful-MACC counters must conserve, and measured cycles must agree
-   with the schedule model within the established tolerance.
+2. **Simulation**: sampled layers run on the cycle simulator.  The
+   default functional engine proves the mapping's Eqn-11 coverage and
+   returns the golden kernel's output; the smallest layers also run on
+   the per-MACC reference engine, which is checked against the golden
+   kernel (a mismatch is reported as an error) and must agree with the
+   default engine bit-for-bit (outputs under wrap-48, MACC counts and
+   cycles).  Useful-MACC
+   counters must conserve, and measured cycles must agree with the
+   schedule model within the established tolerance.
 3. **Serving**: one batch dispatches end to end through the replica
    service model.
 4. **Faults**: a TPE mask shrinks the grid and the network recompiles on
@@ -63,15 +67,15 @@ class ConformanceBudget:
     """Caps bounding one workload's conformance run.
 
     The beams trade schedule quality for compile time; the sim caps
-    bound how many (and how large) layers run on each functional engine.
+    bound how many layers are simulated, and how many (and how large)
+    also run on the per-MACC reference engine.  The default engine costs
+    one golden-kernel call per layer, so it has no size cap.
     """
 
     spatial_beam: int = 16
     temporal_beam: int = 24
-    #: Max distinct-signature layers simulated on the vectorized engine.
+    #: Max distinct-signature layers simulated on the default engine.
     max_sim_layers: int = 3
-    #: Largest layer (in MACCs) the vectorized engine takes on.
-    max_sim_maccs: int = 4_500_000
     #: Max layers double-run on the per-MACC reference engine.
     max_reference_layers: int = 2
     #: Largest layer (in MACCs) the reference engine takes on.
@@ -99,10 +103,8 @@ class LayerSimCheck:
     bottleneck: str
     #: Whether the per-MACC reference engine double-ran this layer.
     reference_checked: bool
-    #: Reference output/cycles identical to the vectorized engine's.
+    #: Reference output/cycles identical to the default engine's.
     engines_identical: bool
-    #: Simulated output equals the functional golden kernel.
-    golden_match: bool
     #: useful_maccs == layer MACCs (counter conservation).
     conserved: bool
 
@@ -198,7 +200,7 @@ def _check_layer_sim(
     compiled = compile_schedule(schedule)
     weights, acts = random_layer_operands(layer, rng)
     vec = CycleSimulator(config, functional_engine="vectorized").run_layer(
-        compiled, weights, acts, check_golden=True,
+        compiled, weights, acts,
     )
     engines_identical = True
     if run_reference:
@@ -219,7 +221,6 @@ def _check_layer_sim(
         bottleneck=schedule.estimate.bottleneck,
         reference_checked=run_reference,
         engines_identical=engines_identical,
-        golden_match=vec.golden_match,
         conserved=vec.useful_maccs == layer.maccs,
     )
 
@@ -326,8 +327,6 @@ def run_workload_conformance(
     for layer in distinct:
         if len(checks) >= budget.max_sim_layers:
             break
-        if layer.maccs > budget.max_sim_maccs:
-            break
         run_reference = (
             reference_runs < budget.max_reference_layers
             and layer.maccs <= budget.max_reference_maccs
@@ -341,7 +340,6 @@ def run_workload_conformance(
         checks.append(check)
         for flag, label in (
             (check.engines_identical, "engines diverge"),
-            (check.golden_match, "golden mismatch"),
             (check.conserved, "MACC counter not conserved"),
             (check.cycles_agree, "model vs measured cycles disagree"),
         ):
@@ -350,7 +348,7 @@ def run_workload_conformance(
     report.sim_checks = tuple(checks)
 
     # 2b. Sequential workloads chain end to end through the bit-true
-    # pipeline simulator (golden-checked per layer, host layers and
+    # pipeline simulator (coverage-proven per layer, host layers and
     # weight-source matmuls included).
     if spec.sequential:
         try:

@@ -4,9 +4,9 @@ Plays the role of the paper's RTL simulation: executes a
 :class:`repro.compiler.codegen.CompiledLayer` on an architectural model of
 the ``D1 x D2 x D3`` grid and reports
 
-* **functional output** — every MACC routed through the TPE/SuperBlock
-  datapath objects using the mapping's index math, checked against the
-  golden NumPy models (bit-true, including 48-bit wrap and zero padding);
+* **functional output** — bit-true (48-bit wrap, zero padding), either
+  routed MACC by MACC through the TPE/SuperBlock datapath objects or
+  proven equal to the golden NumPy models;
 * **cycle count** — a double-buffered pipeline timeline per SuperBlock
   row with explicit ActBUS / PSumBUS / DRAM contention, from which the
   measured *hardware efficiency* follows;
@@ -17,12 +17,17 @@ bit-identical by construction (and by test sweep):
 
 * ``"reference"`` — visits every MACC in Python, routing each through
   the TPE/SuperBlock datapath objects.  Slow, but it exercises the
-  buffer addressing and cascade structure directly.
-* ``"vectorized"`` (default) — enumerates the same hardware-iteration
-  lattice as flat NumPy index arrays, gathers operands in bulk, and
-  scatter-accumulates into int64.  48-bit wrapping commutes with exact
-  mod-2^64 accumulation (2^48 divides 2^64), so one final ``wrap48``
-  reproduces the cascade's per-step wrapping exactly.
+  buffer addressing and cascade structure directly; it is the oracle
+  the default engine is tested against.
+* ``"vectorized"`` (default) — proves coverage instead of walking the
+  iterations.  The mapping's index math is a per-loop mixed-radix
+  bijection onto the padded extents, so checking Eqn 11 per loop is
+  enough to know every in-range MACC is issued exactly once; the output
+  is then the golden kernel's and the MACC counts are closed-form
+  products.  It does not re-derive the operand gather: the gather maps
+  stay covered by the reference engine, which the test suite
+  golden-checks on fixed and fuzzed layers and grids
+  (``tests/test_integration.py``, ``tests/test_fullstack_fuzz.py``).
 """
 
 from __future__ import annotations
@@ -33,13 +38,14 @@ from math import prod
 import numpy as np
 
 from repro.compiler.codegen import CompiledLayer
+from repro.compiler.constraints import coverage_violations
 from repro.compiler.mapping import HW_LEVELS
 from repro.errors import SimulationError
 from repro.overlay.buses import BusModel
 from repro.overlay.config import OverlayConfig
 from repro.overlay.superblock import SuperBlock
 from repro.fixedpoint import to_int16, wrap48
-from repro.sim.functional import golden_layer_output
+from repro.sim.functional import check_layer_operands, golden_layer_output
 from repro.sim.trace import DramTrace
 from repro.workloads.layers import ConvLayer, MatMulLayer
 
@@ -55,7 +61,10 @@ class LayerRun:
         useful_maccs: MACCs that contributed to in-range outputs.
         issued_maccs: MACC slots issued (includes padding waste).
         output: Accumulated output tensor in the layer's logical shape.
-        golden_match: Whether ``output`` equals the golden model.
+        golden_match: Whether ``output`` equals the golden model.  Only
+            the reference engine compares the two (with ``check_golden``;
+            a mismatch raises); the default engine's output is the golden
+            model's by construction.
         trace: The DRAM access trace.
         n_tpe: TPEs of the simulated configuration.
         bus_busy: Busy cycles per bus name.
@@ -81,18 +90,16 @@ class LayerRun:
 #: Functional-engine names accepted by :class:`CycleSimulator`.
 FUNCTIONAL_ENGINES = ("vectorized", "reference")
 
-#: Lanes materialized per vectorized chunk (bounds peak index memory).
-_VEC_CHUNK = 1 << 19
-
 
 class CycleSimulator:
     """Executes compiled layers on an overlay configuration.
 
     Args:
         config: The overlay to simulate.
-        functional_engine: ``"vectorized"`` (NumPy lattice enumeration,
-            the default) or ``"reference"`` (per-MACC datapath objects).
-            Both produce bit-identical outputs and MACC counts.
+        functional_engine: ``"vectorized"`` (the default: an Eqn-11
+            coverage proof, then the golden kernel's output) or
+            ``"reference"`` (per-MACC datapath objects).  Both produce
+            bit-identical outputs and MACC counts.
     """
 
     def __init__(self, config: OverlayConfig,
@@ -261,142 +268,33 @@ class CycleSimulator:
         weights: np.ndarray,
         acts: np.ndarray,
     ) -> tuple[np.ndarray, int, int]:
-        """Enumerate the hardware-iteration lattice as NumPy arrays.
+        """Prove the mapping covers the layer, then return the golden output.
 
-        The lattice is the same ``(d3, d2, d1, x, l, t)`` space the
-        reference engine walks: flat lane numbers decompose into
-        per-level indices, per-level mixed-radix tables give each loop's
-        sub-index, and place values recombine them into workload indices
-        (Eqn 1).  Valid lanes gather operands and scatter-add into an
-        int64 accumulator; a single final ``wrap48`` matches the
-        cascade's stepwise wrapping because both compute the same value
-        mod 2^48.
+        Each loop's workload index is a mixed-radix number over the six
+        levels' trips (Eqn 1), so once the mapping names exactly the
+        layer's loops, the hardware iteration space maps bijectively onto
+        ``[0, loop_product(name))`` per loop.  The one condition that can
+        then fail is Eqn 11 — every padded extent must reach its loop's
+        size.  When both hold, each in-range MACC is issued exactly once
+        and padded iterations contribute nothing, so the cascade's wrap-48
+        output equals the golden kernel's.
 
         Returns (output, useful_maccs, issued_maccs).
+
+        Raises:
+            SimulationError: naming the mismatched loops or every loop the
+                mapping under-covers (a compiler bug; there is no fallback).
         """
         layer: AcceleratedLayer = compiled.schedule.layer
         mapping = compiled.schedule.mapping
-        weights = to_int16(weights)
-        acts = to_int16(acts)
-        names = mapping.loop_names
-        k = len(names)
-        sizes = np.array(
-            [layer.loop_sizes[n] for n in names], dtype=np.int64
-        )
-
-        level_sizes = [mapping.level_product(level) for level in HW_LEVELS]
-        total = prod(level_sizes)
-
-        # tables[li][j, i]: loop j's sub-index at flat index i of level
-        # li (mixed radix over the level's trips, last loop least
-        # significant — decompose_level_index in array form).
-        tables = []
-        for level, n_level in zip(HW_LEVELS, level_sizes):
-            flat = np.arange(n_level, dtype=np.int64)
-            table = np.empty((k, n_level), dtype=np.int64)
-            div = 1
-            for j in range(k - 1, -1, -1):
-                radix = mapping.trips[level][names[j]]
-                table[j] = (flat // div) % radix
-                div *= radix
-            tables.append(table)
-
-        # place[li, j]: weight of level li's sub-index in loop j's
-        # combined workload index — the product of all inner levels'
-        # trips (outer levels most significant).
-        n_levels = len(HW_LEVELS)
-        place = np.ones((n_levels, k), dtype=np.int64)
-        for li in range(n_levels - 2, -1, -1):
-            inner_trips = np.array(
-                [mapping.trips[HW_LEVELS[li + 1]][n] for n in names],
-                dtype=np.int64,
+        violations = coverage_violations(layer, mapping)
+        if violations:
+            raise SimulationError(
+                f"layer {layer.name!r}: " + "; ".join(violations)
             )
-            place[li] = place[li + 1] * inner_trips
-
-        # level_div[li]: divisor extracting level li's index from a flat
-        # lane number (T varies fastest).
-        level_div = np.ones(n_levels, dtype=np.int64)
-        for li in range(n_levels - 2, -1, -1):
-            level_div[li] = level_div[li + 1] * level_sizes[li + 1]
-
-        out_shape = layer.out_shape()
-        acc = np.zeros(prod(out_shape), dtype=np.int64)
-        w_flat = weights.reshape(-1)
-        a_flat = acts.reshape(-1)
-        useful = 0
-
-        for lo in range(0, total, _VEC_CHUNK):
-            lanes = np.arange(lo, min(lo + _VEC_CHUNK, total), dtype=np.int64)
-            idx = np.zeros((k, lanes.size), dtype=np.int64)
-            for li in range(n_levels):
-                level_idx = (lanes // level_div[li]) % level_sizes[li]
-                idx += tables[li][:, level_idx] * place[li][:, None]
-            valid = np.all(idx < sizes[:, None], axis=0)
-            n_valid = int(np.count_nonzero(valid))
-            if not n_valid:
-                continue
-            useful += n_valid
-            idx = idx[:, valid]
-            w_lane, a_lane, out_lane = self._gather_lanes(
-                layer, names, idx, w_flat, a_flat
-            )
-            np.add.at(acc, out_lane, w_lane * a_lane)
-
-        output = wrap48(acc).reshape(out_shape)
-        return output, useful, int(total)
-
-    @staticmethod
-    def _gather_lanes(
-        layer: AcceleratedLayer,
-        names: tuple[str, ...],
-        idx: np.ndarray,
-        w_flat: np.ndarray,
-        a_flat: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Operand and output gathers for one chunk of valid lanes.
-
-        Array form of ``weight_coord`` / ``act_coord`` / ``out_coord``;
-        out-of-range activation coordinates (zero padding) read as zero,
-        exactly like ``act_in_range`` gating in the reference engine.
-        """
-        pos = {name: j for j, name in enumerate(names)}
-        if isinstance(layer, ConvLayer):
-            m = idx[pos["M"]]
-            n = idx[pos["N"]]
-            h = idx[pos["H"]]
-            w = idx[pos["W"]]
-            r = idx[pos["R"]]
-            s = idx[pos["S"]]
-            gin = layer.group_in_channels
-            w_lane = w_flat[
-                ((m * gin + n) * layer.kernel_h + r) * layer.kernel_w + s
-            ].astype(np.int64)
-            if layer.groups > 1:
-                channel = (m // layer.group_out_channels) * gin + n
-            else:
-                channel = n
-            ih = h * layer.stride + r - layer.padding
-            iw = w * layer.stride + s - layer.padding
-            in_range = (
-                (ih >= 0) & (ih < layer.in_h) & (iw >= 0) & (iw < layer.in_w)
-            )
-            a_index = (
-                channel * layer.in_h + np.clip(ih, 0, layer.in_h - 1)
-            ) * layer.in_w + np.clip(iw, 0, layer.in_w - 1)
-            a_lane = np.where(in_range, a_flat[a_index].astype(np.int64), 0)
-            out_lane = (m * layer.out_h + h) * layer.out_w + w
-            return w_lane, a_lane, out_lane
-        if isinstance(layer, MatMulLayer):
-            m = idx[pos["M"]]
-            n = idx[pos["N"]]
-            p = idx[pos["P"]]
-            w_lane = w_flat[n * layer.in_features + m].astype(np.int64)
-            a_lane = a_flat[m * layer.batch + p].astype(np.int64)
-            out_lane = n * layer.batch + p
-            return w_lane, a_lane, out_lane
-        raise SimulationError(
-            f"no vectorized gather for layer kind {layer.kind}"
-        )
+        useful = prod(layer.loop_sizes.values())
+        issued = prod(mapping.level_product(level) for level in HW_LEVELS)
+        return golden_layer_output(layer, weights, acts), useful, issued
 
     # ------------------------------------------------------------------ #
     # timing
@@ -520,17 +418,23 @@ class CycleSimulator:
     ) -> LayerRun:
         """Simulate ``compiled`` end to end.
 
+        The golden kernel runs at most once: it is the default engine's
+        output, and only the reference engine is compared against it.
+
         Raises:
-            SimulationError: if the functional output disagrees with the
-                golden model (with ``check_golden``) or the useful-MACC
-                count does not equal the layer's MACC count.
+            SimulationError: if the operands are mis-shaped for the
+                layer, the mapping under-covers a loop, the functional
+                output disagrees with the golden model (with
+                ``check_golden``) or the useful-MACC count does not equal
+                the layer's MACC count.
         """
         layer = compiled.schedule.layer
+        check_layer_operands(layer, weights, acts)
         output, useful, issued = self._functional(compiled, weights, acts)
         cycles, trace, busy = self._timeline(compiled)
 
         golden_match = True
-        if check_golden:
+        if check_golden and self.functional_engine == "reference":
             golden = golden_layer_output(layer, weights, acts)
             golden_match = bool(np.array_equal(output, golden))
             if not golden_match:

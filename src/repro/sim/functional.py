@@ -98,38 +98,54 @@ def conv2d_int16(
     return wrap48(out)
 
 
+def _operand_shapes(
+    layer: ConvLayer | MatMulLayer,
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(weight shape, activation shape) that ``layer`` consumes."""
+    if isinstance(layer, ConvLayer):
+        return (
+            (layer.out_channels, layer.group_in_channels,
+             layer.kernel_h, layer.kernel_w),
+            (layer.in_channels, layer.in_h, layer.in_w),
+        )
+    if isinstance(layer, MatMulLayer):
+        return (
+            (layer.out_features, layer.in_features),
+            (layer.in_features, layer.batch),
+        )
+    raise SimulationError(f"no operands for layer kind {layer.kind}")
+
+
+def check_layer_operands(
+    layer: ConvLayer | MatMulLayer,
+    weights: np.ndarray,
+    acts: np.ndarray,
+) -> None:
+    """Raise :class:`SimulationError` unless ``weights``/``acts`` have the
+    exact shapes ``layer`` consumes."""
+    expected_w, expected_a = _operand_shapes(layer)
+    got_w, got_a = np.shape(weights), np.shape(acts)
+    if got_w != expected_w or got_a != expected_a:
+        raise SimulationError(
+            f"layer {layer.name!r} expects W{expected_w}/act{expected_a}, "
+            f"got W{got_w}/act{got_a}"
+        )
+
+
 def golden_layer_output(
     layer: ConvLayer | MatMulLayer,
     weights: np.ndarray,
     acts: np.ndarray,
 ) -> np.ndarray:
     """Dispatch to the golden model matching ``layer``'s kind and shape."""
+    check_layer_operands(layer, weights, acts)
     weights = to_int16(weights)
     acts = to_int16(acts)
     if isinstance(layer, ConvLayer):
-        expected_w = (
-            layer.out_channels, layer.group_in_channels,
-            layer.kernel_h, layer.kernel_w,
-        )
-        expected_a = (layer.in_channels, layer.in_h, layer.in_w)
-        if weights.shape != expected_w or acts.shape != expected_a:
-            raise SimulationError(
-                f"layer {layer.name!r} expects W{expected_w}/act{expected_a}, "
-                f"got W{weights.shape}/act{acts.shape}"
-            )
         return conv2d_int16(
             weights, acts, layer.stride, layer.padding, layer.groups
         )
-    if isinstance(layer, MatMulLayer):
-        expected_w = (layer.out_features, layer.in_features)
-        expected_a = (layer.in_features, layer.batch)
-        if weights.shape != expected_w or acts.shape != expected_a:
-            raise SimulationError(
-                f"layer {layer.name!r} expects W{expected_w}/act{expected_a}, "
-                f"got W{weights.shape}/act{acts.shape}"
-            )
-        return matmul_int16(weights, acts)
-    raise SimulationError(f"no golden model for layer kind {layer.kind}")
+    return matmul_int16(weights, acts)
 
 
 def corrupted_layer_output(
@@ -172,17 +188,7 @@ def random_layer_operands(
     ``magnitude`` bounds the operand range so small test layers stay far
     from accumulator wrap unless a test asks otherwise.
     """
-    if isinstance(layer, ConvLayer):
-        w_shape = (
-            layer.out_channels, layer.group_in_channels,
-            layer.kernel_h, layer.kernel_w,
-        )
-        a_shape = (layer.in_channels, layer.in_h, layer.in_w)
-    elif isinstance(layer, MatMulLayer):
-        w_shape = (layer.out_features, layer.in_features)
-        a_shape = (layer.in_features, layer.batch)
-    else:
-        raise SimulationError(f"no operands for layer kind {layer.kind}")
+    w_shape, a_shape = _operand_shapes(layer)
     weights = rng.integers(-magnitude, magnitude + 1, size=w_shape)
     acts = rng.integers(-magnitude, magnitude + 1, size=a_shape)
     return to_int16(weights), to_int16(acts)

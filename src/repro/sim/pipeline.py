@@ -118,8 +118,11 @@ class NetworkSimulator:
                 previous one's output).
             inputs: int16 input tensor shaped for the first layer.
             weights: Layer name -> int16 weight tensor for every CONV/MM.
-            check_golden: Verify each accelerated layer against its golden
-                model (bit-exact).
+            check_golden: Forwarded to
+                :meth:`~repro.sim.cycle.CycleSimulator.run_layer`.  The
+                default engine proves each accelerated layer's coverage
+                and returns its golden model's output, so no second
+                comparison runs.
 
         Raises:
             SimulationError: on shape breaks in the chain, missing

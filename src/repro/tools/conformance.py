@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from repro.conformance import (
     CONFORMANCE_CONFIG,
@@ -107,21 +108,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.grid:
             d1, d2, d3 = (int(v) for v in args.grid.split(","))
             config = OverlayConfig(d1=d1, d2=d2, d3=d3)
-        budget = ConformanceBudget()
         overrides = {}
         if args.spatial_beam is not None:
             overrides["spatial_beam"] = args.spatial_beam
         if args.temporal_beam is not None:
             overrides["temporal_beam"] = args.temporal_beam
-        if overrides:
-            budget = ConformanceBudget(**{
-                **{f: getattr(budget, f) for f in (
-                    "spatial_beam", "temporal_beam", "max_sim_layers",
-                    "max_sim_maccs", "max_reference_layers",
-                    "max_reference_maccs", "batch_size", "max_host_layers",
-                )},
-                **overrides,
-            })
+        budget = replace(ConformanceBudget(), **overrides)
     except (FTDLError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1

@@ -1,8 +1,10 @@
 """CLI: cycle-level simulation of one layer with golden verification.
 
-Compiles a layer, executes it on the architectural simulator with random
-operands, verifies the output bit-exactly against the golden model, and
-reports cycles, efficiency, bus occupancy, and DRAM traffic.
+Compiles a layer, executes it on the architectural simulator's per-MACC
+reference datapath with random operands, verifies the output bit-exactly
+against the golden model, and reports cycles, efficiency, bus occupancy,
+and DRAM traffic.  The reference engine visits every MACC in Python
+(tens of microseconds each), so keep layers small.
 
 Examples::
 
@@ -72,7 +74,9 @@ def main(argv: list[str] | None = None) -> int:
         weights, acts = random_layer_operands(
             layer, np.random.default_rng(args.seed)
         )
-        run = CycleSimulator(config).run_layer(compiled, weights, acts)
+        run = CycleSimulator(
+            config, functional_engine="reference"
+        ).run_layer(compiled, weights, acts)
     except FTDLError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1

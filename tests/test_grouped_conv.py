@@ -105,7 +105,7 @@ class TestFullStack:
 
     def test_depthwise_bit_exact(self, depthwise, config, rng):
         schedule = schedule_layer(depthwise, config)
-        run = CycleSimulator(config).run_layer(
+        run = CycleSimulator(config, functional_engine="reference").run_layer(
             compile_schedule(schedule), *random_layer_operands(depthwise, rng)
         )
         assert run.golden_match
@@ -113,7 +113,7 @@ class TestFullStack:
 
     def test_grouped_bit_exact(self, grouped, config, rng):
         schedule = schedule_layer(grouped, config)
-        run = CycleSimulator(config).run_layer(
+        run = CycleSimulator(config, functional_engine="reference").run_layer(
             compile_schedule(schedule), *random_layer_operands(grouped, rng)
         )
         assert run.golden_match

@@ -43,13 +43,16 @@ CONFIG_MATRIX = [
 @pytest.mark.parametrize("cfg_index", range(len(CONFIG_MATRIX)))
 def test_full_stack_bit_exact(layer, cfg_index, rng):
     """Every (layer, config) pair: the compiled schedule, executed on the
-    architectural simulator, reproduces the golden output bit-exactly and
-    issues exactly the layer's MACC count as useful work."""
+    architectural simulator's per-MACC reference datapath, reproduces the
+    golden output bit-exactly and issues exactly the layer's MACC count as
+    useful work."""
     config = CONFIG_MATRIX[cfg_index]
     schedule = schedule_layer(layer, config)
     compiled = compile_schedule(schedule)
     weights, acts = random_layer_operands(layer, rng)
-    run = CycleSimulator(config).run_layer(compiled, weights, acts)
+    run = CycleSimulator(config, functional_engine="reference").run_layer(
+        compiled, weights, acts
+    )
     assert run.golden_match
     assert run.useful_maccs == layer.maccs
     # Timing: the simulator tracks the analytical estimate up to the
@@ -68,7 +71,9 @@ def test_balance_objective_full_stack(rng):
     schedule = schedule_layer(layer, config, objective="balance")
     compiled = compile_schedule(schedule)
     weights, acts = random_layer_operands(layer, rng)
-    run = CycleSimulator(config).run_layer(compiled, weights, acts)
+    run = CycleSimulator(config, functional_engine="reference").run_layer(
+        compiled, weights, acts
+    )
     assert run.golden_match
 
 
@@ -77,7 +82,7 @@ def test_topk_schedules_all_functionally_correct(rng):
     layer = ConvLayer("c", 4, 6, in_h=6, in_w=6, kernel_h=3, kernel_w=3)
     config = CONFIG_MATRIX[0]
     weights, acts = random_layer_operands(layer, rng)
-    sim = CycleSimulator(config)
+    sim = CycleSimulator(config, functional_engine="reference")
     for schedule in ScheduleSearch(layer, config, top_k=5).run():
         run = sim.run_layer(compile_schedule(schedule), weights, acts)
         assert run.golden_match

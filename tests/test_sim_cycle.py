@@ -1,5 +1,10 @@
 """Cycle simulator: functional equivalence with the golden models and
-timing consistency with the analytical model."""
+timing consistency with the analytical model.
+
+Golden checks run on the per-MACC reference engine: the default engine's
+output *is* the golden kernel's once it has proven coverage, so only the
+reference datapath walk compares two independent computations.
+"""
 
 import numpy as np
 import pytest
@@ -8,38 +13,42 @@ from repro.compiler.codegen import compile_schedule
 from repro.compiler.search import schedule_layer
 from repro.errors import SimulationError
 from repro.overlay.config import OverlayConfig
-from repro.sim.cycle import CycleSimulator
+from repro.sim import cycle
+from repro.sim.cycle import FUNCTIONAL_ENGINES, CycleSimulator
 from repro.sim.functional import golden_layer_output, random_layer_operands
 from repro.workloads.layers import ConvLayer, MatMulLayer
 
 
-def _run(layer, config, rng, objective="performance"):
+def _run(layer, config, rng, objective="performance", engine="vectorized"):
     schedule = schedule_layer(layer, config, objective=objective)
     compiled = compile_schedule(schedule)
     weights, acts = random_layer_operands(layer, rng)
-    run = CycleSimulator(config).run_layer(compiled, weights, acts)
+    run = CycleSimulator(config, functional_engine=engine).run_layer(
+        compiled, weights, acts
+    )
     return schedule, run
 
 
 class TestFunctionalEquivalence:
     def test_conv_matches_golden(self, small_conv, tiny_config, rng):
-        _, run = _run(small_conv, tiny_config, rng)
+        _, run = _run(small_conv, tiny_config, rng, engine="reference")
         assert run.golden_match
 
     def test_strided_conv_matches_golden(self, strided_conv, tiny_config, rng):
-        _, run = _run(strided_conv, tiny_config, rng)
+        _, run = _run(strided_conv, tiny_config, rng, engine="reference")
         assert run.golden_match
 
     def test_pointwise_conv_matches_golden(self, pointwise_conv, tiny_config, rng):
-        _, run = _run(pointwise_conv, tiny_config, rng)
+        _, run = _run(pointwise_conv, tiny_config, rng, engine="reference")
         assert run.golden_match
 
     def test_mm_matches_golden(self, small_mm, tiny_config, rng):
-        _, run = _run(small_mm, tiny_config, rng)
+        _, run = _run(small_mm, tiny_config, rng, engine="reference")
         assert run.golden_match
 
     def test_balance_objective_also_correct(self, small_conv, tiny_config, rng):
-        _, run = _run(small_conv, tiny_config, rng, objective="balance")
+        _, run = _run(small_conv, tiny_config, rng, objective="balance",
+                      engine="reference")
         assert run.golden_match
 
     def test_useful_maccs_exact(self, small_conv, tiny_config, rng):
@@ -50,16 +59,20 @@ class TestFunctionalEquivalence:
         _, run = _run(strided_conv, tiny_config, rng)
         assert run.issued_maccs >= run.useful_maccs
 
-    def test_corrupted_weights_detected(self, small_mm, tiny_config, rng):
+    def test_corrupted_weights_detected(self, small_mm, tiny_config, rng,
+                                        monkeypatch):
         """The golden check actually checks: feed different weights to the
         simulator than to the oracle and it must raise."""
         schedule = schedule_layer(small_mm, tiny_config)
         compiled = compile_schedule(schedule)
         weights, acts = random_layer_operands(small_mm, rng)
-        sim = CycleSimulator(tiny_config)
-        run = sim.run_layer(compiled, weights, acts)
-        golden_other = golden_layer_output(small_mm, weights + 1, acts)
-        assert not np.array_equal(run.output, golden_other)
+        monkeypatch.setattr(
+            cycle, "golden_layer_output",
+            lambda layer, w, a: golden_layer_output(layer, w + 1, a),
+        )
+        sim = CycleSimulator(tiny_config, functional_engine="reference")
+        with pytest.raises(SimulationError, match="disagrees with golden"):
+            sim.run_layer(compiled, weights, acts)
 
     def test_extreme_operands_wrap_consistently(self, tiny_config, rng):
         """Full-range int16 operands: wrap-around must match the oracle."""
@@ -67,8 +80,34 @@ class TestFunctionalEquivalence:
         schedule = schedule_layer(layer, tiny_config)
         compiled = compile_schedule(schedule)
         weights, acts = random_layer_operands(layer, rng, magnitude=32767)
-        run = CycleSimulator(tiny_config).run_layer(compiled, weights, acts)
+        run = CycleSimulator(
+            tiny_config, functional_engine="reference"
+        ).run_layer(compiled, weights, acts)
         assert run.golden_match
+
+
+class TestOperandShapes:
+    """Mis-shaped operands fail with a structured error on both engines,
+    whether or not the golden check runs."""
+
+    LAYER = MatMulLayer("fc", in_features=32, out_features=20, batch=1)
+
+    @pytest.mark.parametrize("engine", FUNCTIONAL_ENGINES)
+    @pytest.mark.parametrize("case", ["weights_transposed", "acts_doubled",
+                                      "acts_truncated"])
+    def test_mis_shaped_operands_rejected(self, case, engine, tiny_config,
+                                          rng):
+        compiled = compile_schedule(schedule_layer(self.LAYER, tiny_config))
+        weights, acts = random_layer_operands(self.LAYER, rng)
+        if case == "weights_transposed":
+            weights = weights.T
+        elif case == "acts_doubled":
+            acts = np.concatenate([acts, acts])
+        else:
+            acts = acts[:10]
+        sim = CycleSimulator(tiny_config, functional_engine=engine)
+        with pytest.raises(SimulationError, match="expects"):
+            sim.run_layer(compiled, weights, acts, check_golden=False)
 
 
 class TestTimingConsistency:
@@ -95,7 +134,7 @@ class TestTimingConsistency:
             s_wbuf_words=256, s_psumbuf_words=512, double_buffer=False,
         )
         _, run_db = _run(small_conv, base, rng)
-        _, run_serial = _run(small_conv, serial, rng)
+        _, run_serial = _run(small_conv, serial, rng, engine="reference")
         assert run_serial.cycles > run_db.cycles
         assert run_serial.golden_match
 

@@ -1,17 +1,23 @@
-"""Vectorized functional engine: bit-identity against the reference.
+"""Default functional engine: bit-identity against the reference oracle.
 
-The vectorized engine enumerates the same hardware-iteration lattice as
-the per-MACC reference engine, so outputs, useful-MACC counts, and
-issued-MACC counts must all be *exactly* equal — including zero padding,
-strides, grouped channels, and 48-bit accumulator wrap.
+The per-MACC reference engine is the oracle: it routes every issued MACC
+through the TPE/SuperBlock datapath objects.  The default (``"vectorized"``)
+engine proves the mapping's Eqn-11 coverage and returns the golden
+kernel's output, so outputs, useful-MACC counts, and issued-MACC counts
+must all be *exactly* equal to the oracle's — including zero padding,
+strides, grouped channels, and 48-bit accumulator wrap — and a mapping
+that under-covers a loop must be rejected.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.compiler import compile_schedule, schedule_layer
+from repro.compiler.mapping import MappingVectors
 from repro.errors import SimulationError
 from repro.fixedpoint import _ACC_HALF, _ACC_MOD, wrap48
 from repro.overlay.config import OverlayConfig
@@ -53,7 +59,7 @@ def test_engines_bit_identical(layer, config):
     rng = np.random.default_rng(hash(layer.name) % 2**32)
     weights, acts = random_layer_operands(layer, rng)
     ref = CycleSimulator(config, functional_engine="reference")
-    vec = CycleSimulator(config)  # vectorized is the default
+    vec = CycleSimulator(config)  # the coverage-proving default
     out_r, useful_r, issued_r = ref._functional(compiled, weights, acts)
     out_v, useful_v, issued_v = vec._functional(compiled, weights, acts)
     assert np.array_equal(out_r, out_v)
@@ -94,6 +100,46 @@ def test_wrap_behaviour_is_preserved():
     out_r, *_ = ref._functional(compiled, weights, acts)
     out_v, *_ = vec._functional(compiled, weights, acts)
     assert np.array_equal(out_r, out_v)
+
+
+def _with_mapping(compiled, loop_names, trips):
+    mapping = MappingVectors(loop_names=loop_names, trips=trips)
+    return replace(compiled,
+                   schedule=replace(compiled.schedule, mapping=mapping))
+
+
+def test_under_covering_mapping_rejected():
+    """A mapping whose padded extent falls short of one loop (Eqn 11)
+    makes the default engine raise, naming that loop."""
+    config = OverlayConfig(3, 2, 2)
+    layer = MatMulLayer("short", in_features=17, out_features=9, batch=6)
+    compiled = compile_schedule(schedule_layer(layer, config))
+    mapping = compiled.schedule.mapping
+    trips = {level: dict(loops) for level, loops in mapping.trips.items()}
+    for loops in trips.values():
+        loops["M"] = 1
+    bad = _with_mapping(compiled, mapping.loop_names, trips)
+    weights, acts = random_layer_operands(layer, np.random.default_rng(0))
+    with pytest.raises(SimulationError,
+                       match=r"loop M covered 1 < required 17"):
+        CycleSimulator(config).run_layer(bad, weights, acts)
+
+
+def test_mismatched_loop_names_rejected():
+    """The bijection argument needs the mapping to name exactly the
+    layer's loops; a mapping missing one raises, not a KeyError."""
+    config = OverlayConfig(3, 2, 2)
+    layer = MatMulLayer("missing", in_features=17, out_features=9, batch=6)
+    compiled = compile_schedule(schedule_layer(layer, config))
+    mapping = compiled.schedule.mapping
+    trips = {
+        level: {name: trip for name, trip in loops.items() if name != "P"}
+        for level, loops in mapping.trips.items()
+    }
+    bad = _with_mapping(compiled, ("M", "N"), trips)
+    weights, acts = random_layer_operands(layer, np.random.default_rng(0))
+    with pytest.raises(SimulationError, match="mapping loops"):
+        CycleSimulator(config).run_layer(bad, weights, acts)
 
 
 def test_unknown_engine_rejected():

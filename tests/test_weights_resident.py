@@ -54,7 +54,9 @@ class TestSimulator:
         schedule = schedule_layer(small_conv, resident_config)
         compiled = compile_schedule(schedule)
         weights, acts = random_layer_operands(small_conv, rng)
-        run = CycleSimulator(resident_config).run_layer(compiled, weights, acts)
+        run = CycleSimulator(
+            resident_config, functional_engine="reference"
+        ).run_layer(compiled, weights, acts)
         assert run.golden_match
         assert run.trace.total_words("RD", "weight") == 0
 
@@ -71,8 +73,9 @@ class TestSimulator:
         runs = {}
         for config in (tiny_config, resident_config):
             schedule = schedule_layer(small_conv, config)
-            runs[config.weights_resident] = CycleSimulator(config).run_layer(
-                compile_schedule(schedule), weights, acts
-            )
+            engine = "reference" if config.weights_resident else "vectorized"
+            runs[config.weights_resident] = CycleSimulator(
+                config, functional_engine=engine
+            ).run_layer(compile_schedule(schedule), weights, acts)
         assert runs[True].cycles <= runs[False].cycles
         assert runs[True].golden_match
