@@ -2,8 +2,8 @@
 
 This is the one benchmark allowed to read the wall clock (enforced by
 ``tests/test_no_wall_clock.py``): its whole job is to measure the real
-compile-time effect of the temporal memo, the persistent schedule store,
-and the vectorized functional simulator — while asserting every fast
+compile-time effect of the persistent schedule store and the
+coverage-proving functional simulator — while asserting every fast
 path returns exactly the plain search's result.
 
 Saved as ``benchmarks/out/BENCH_compile.json``.  Two depths:
@@ -107,7 +107,6 @@ def _bench_network(network, config, store_root) -> dict:
     warm_stats = warm_cache.stats()
     assert warm_stats.compiles == 0, "warm start should never search"
 
-    memo = cold_cache.temporal_memo
     return {
         "model": network.name,
         "n_layers": len(network.accelerated_layers()),
@@ -119,7 +118,6 @@ def _bench_network(network, config, store_root) -> dict:
         "t_cold_store_s": round(t_cold, 4),
         "t_warm_store_s": round(t_warm, 4),
         "warm_speedup": round(warm_speedup, 1),
-        "memo_hit_rate": round(memo.hit_rate, 4),
         "memory_hit_rate": round(warm_stats.hit_rate, 4),
         "persistent_hits": warm_stats.persistent_hits,
         "identical": identical,
@@ -190,15 +188,14 @@ def test_compile_fast_path_speed(out_dir, tmp_path):
         f"Compile fast path — grid {bench['grid']}"
         f"{' (budget mode)' if BUDGET else ''}",
         f"{'model':>22s} {'layers':>6s} {'shapes':>6s} {'base s':>8s} "
-        f"{'warm s':>8s} {'speedup':>8s} {'cand/s':>10s} {'memo':>6s}",
+        f"{'warm s':>8s} {'speedup':>8s} {'cand/s':>10s}",
     ]
     for row in rows:
         lines.append(
             f"{row['model']:>22s} {row['n_layers']:>6d} "
             f"{row['distinct_shapes']:>6d} {row['t_baseline_s']:>8.3f} "
             f"{row['t_warm_store_s']:>8.3f} {row['warm_speedup']:>7.1f}x "
-            f"{row['candidates_per_s']:>10,.0f} "
-            f"{row['memo_hit_rate']:>6.1%}"
+            f"{row['candidates_per_s']:>10,.0f}"
         )
     lines.append(
         f"simulator ({sim['layer']}, {sim['maccs']:,} MACCs): "

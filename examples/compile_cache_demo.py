@@ -1,16 +1,13 @@
 #!/usr/bin/env python3
-"""The compile fast path, end to end: temporal memo and disk store.
+"""The compile fast path, end to end: the persistent schedule store.
 
-Compiles SmallCNN three ways and shows they are byte-for-byte identical
-while getting progressively cheaper:
+Compiles SmallCNN three ways and shows they are byte-for-byte identical:
 
 1. **baseline** — plain sequential search, nothing shared;
-2. **shared temporal memo** — a second compile reuses the search's
-   per-remainder temporal enumerations (batch sweeps and fault-mask
-   recompiles only re-search what actually changed);
-3. **persistent store** — schedules round-trip through an on-disk
-   content-addressed store, so a process restart loads instead of
-   searching (the recorded step charge is replayed, keeping traces
+2. **cold store** — the same search, with every schedule written to an
+   on-disk content-addressed store;
+3. **warm store** — a fresh cache over the filled store loads instead
+   of searching (the recorded step charge is replayed, keeping traces
    identical warm or cold).
 
 Also flips the cycle simulator between its two functional engines —
@@ -29,12 +26,10 @@ import numpy as np
 
 from repro.compiler import compile_schedule, schedule_network
 from repro.compiler.cache import ScheduleCache
-from repro.compiler.memo import TemporalMemo
 from repro.compiler.persist import PersistentScheduleStore
 from repro.overlay.config import OverlayConfig
 from repro.sim.cycle import CycleSimulator
 from repro.sim.functional import random_layer_operands
-from repro.workloads.layers import MatMulLayer
 from repro.workloads.models import build_smallcnn
 
 
@@ -48,18 +43,8 @@ def main() -> None:
     print(f"baseline: {len(baseline)} layers scheduled on "
           f"{config.d1}x{config.d2}x{config.d3}")
 
-    # 2. One shared memo across a batch-size sweep: later searches reuse
-    #    the temporal enumerations the first one produced.
-    memo = TemporalMemo()
-    for batch in (1, 2, 4, 8):
-        layer = MatMulLayer("head", in_features=64, out_features=32,
-                            batch=batch)
-        cache = ScheduleCache(config, temporal_memo=memo)
-        cache.schedule(layer)
-    print(f"memo after batch sweep: {memo.describe()}")
-
     with tempfile.TemporaryDirectory() as root:
-        # 3. Cold process fills the store; a "restarted" one loads it.
+        # 2. Cold process fills the store; 3. a "restarted" one loads it.
         cold = ScheduleCache(config, store=PersistentScheduleStore(root))
         cold_schedules = [cold.schedule(layer) for layer in layers]
         print(f"cold start : {cold.describe()}")

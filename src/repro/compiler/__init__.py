@@ -25,7 +25,6 @@ from repro.compiler.search import (
     schedule_layer,
     schedule_network,
 )
-from repro.compiler.memo import TemporalMemo
 from repro.compiler.hwsearch import HardwareSearchResult, search_hardware_config
 from repro.compiler.codegen import compile_schedule, compile_network, CompiledLayer, NetworkProgram
 from repro.compiler.cache import CacheStats, ScheduleCache
@@ -45,7 +44,6 @@ __all__ = [
     "check_constraints",
     "Schedule",
     "ScheduleSearch",
-    "TemporalMemo",
     "ceil_tile_candidates",
     "schedule_layer",
     "schedule_network",

@@ -85,10 +85,9 @@ def test_no_wall_clock_imports():
     assert _ast_violations() == []
 
 
-#: The compile fast path must stay on the virtual clock: persistence and
-#: memoization replay recorded step charges instead of measuring anything.
+#: The compile fast path must stay on the virtual clock: persistence
+#: replays recorded step charges instead of measuring anything.
 _FAST_PATH_MODULES = (
-    "compiler/memo.py",
     "compiler/persist.py",
     "compiler/cache.py",
     "sim/cycle.py",
