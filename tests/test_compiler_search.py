@@ -73,8 +73,9 @@ class TestSearchBasics:
     def test_estimates_match_authoritative_model(self, tiny_config):
         """The array pricer equals evaluate_mapping on every candidate.
 
-        Each candidate the search prices is materialized as full mapping
-        vectors and re-priced by the scalar model; ``c_exe``, ``e_wbuf``
+        Every candidate of every spatial choice is priced in one batched
+        pass, then materialized as full mapping vectors and re-priced by
+        the scalar model; ``c_exe``, ``e_wbuf``
         and the balance score must agree exactly, not approximately.
         """
         layers = [
@@ -99,23 +100,24 @@ class TestSearchBasics:
                 search = ScheduleSearch(
                     layer, config, spatial_beam=12, temporal_beam=40
                 )
-                priced = 0
-                for spatial in search._spatial_choices():
-                    rem = tuple((-(-np.array(search._sizes)
-                                   // spatial.prod(axis=0))).tolist())
-                    table = search._temporal_table(rem)
-                    columns = search._price_table(spatial, table)
-                    for row, fast in enumerate(
-                        zip(*(column.tolist() for column in columns))
-                    ):
-                        est = search._materialize(
-                            spatial, rem, table, row
-                        ).estimate
-                        assert fast == (est.c_exe, est.e_wbuf, est.score), (
-                            layer.name, config, row
-                        )
-                        priced += 1
-                assert priced > 100
+                spatials = search._spatial_choices()
+                rems = -(-np.array(search._sizes) // spatials.prod(axis=1))
+                distinct, which = np.unique(rems, axis=0, return_inverse=True)
+                which = which.reshape(-1)
+                table = search._combo_tables(distinct)
+                rows, choice = table.rows(which)
+                columns = search._price(spatials, table, rows, choice)
+                for row, spatial, fast in zip(
+                    rows.tolist(), choice.tolist(),
+                    zip(*(column.tolist() for column in columns)),
+                ):
+                    est = search._materialize(
+                        spatials[spatial], distinct[which[spatial]], table, row
+                    ).estimate
+                    assert fast == (est.c_exe, est.e_wbuf, est.score), (
+                        layer.name, config, row
+                    )
+                assert len(rows) > 100
 
     def test_mm_layer_schedules(self, small_mm, tiny_config):
         schedule = schedule_layer(small_mm, tiny_config)
@@ -158,6 +160,30 @@ class TestSearchBasics:
             ScheduleSearch(small_conv, tiny_config, **{name: width})
         with pytest.raises(ScheduleError, match=name):
             ScheduleCache(tiny_config, **{name: width})
+
+    @pytest.mark.parametrize(
+        "value", [2.5, 1.0, float("nan"), True, "3"],
+        ids=["fraction", "integral-float", "nan", "bool", "str"],
+    )
+    @pytest.mark.parametrize("name", ["top_k", "spatial_beam", "temporal_beam"])
+    def test_non_integer_sizes_rejected(
+        self, small_conv, tiny_config, name, value
+    ):
+        """Only integers are counts: a fraction would reach a slice index
+        and crash, nan compares false with everything and would lift the
+        bound, and True would count as 1."""
+        with pytest.raises(ScheduleError, match=name):
+            ScheduleSearch(small_conv, tiny_config, **{name: value})
+        if name != "top_k":
+            with pytest.raises(ScheduleError, match=name):
+                ScheduleCache(tiny_config, **{name: value})
+
+    def test_numpy_integer_sizes_accepted(self, small_conv, tiny_config):
+        search = ScheduleSearch(
+            small_conv, tiny_config, top_k=np.int64(2),
+            spatial_beam=np.int32(4), temporal_beam=np.int64(3),
+        )
+        assert len(search.run()) == 2
 
     def test_edge_beams_accepted(self, small_conv, tiny_config):
         search = ScheduleSearch(
