@@ -2,9 +2,8 @@
 
 This is the one benchmark allowed to read the wall clock (enforced by
 ``tests/test_no_wall_clock.py``): its whole job is to measure the real
-compile-time effect of the persistent schedule store and the
-coverage-proving functional simulator — while asserting every fast
-path returns exactly the plain search's result.
+compile-time effect of the persistent schedule store — while asserting
+every fast path returns exactly the plain search's result.
 
 Saved as ``benchmarks/out/BENCH_compile.json``.  Two depths:
 
@@ -20,20 +19,14 @@ import json
 import os
 import time
 
-import numpy as np
-
 from conftest import OUT_DIR
 from repro.compiler import (
     ScheduleSearch,
-    compile_schedule,
-    schedule_layer,
     schedule_network,
 )
 from repro.compiler.cache import ScheduleCache, layer_signature
 from repro.compiler.persist import PersistentScheduleStore
 from repro.overlay.config import OverlayConfig, PAPER_EXAMPLE_CONFIG
-from repro.sim.cycle import CycleSimulator
-from repro.sim.functional import random_layer_operands
 from repro.workloads.mlperf import MLPERF_MODELS, build_model
 from repro.workloads.models import build_smallcnn
 
@@ -124,53 +117,12 @@ def _bench_network(network, config, store_root) -> dict:
     }
 
 
-def _bench_simulator(config) -> dict:
-    network = build_smallcnn()
-    layer = network.accelerated_layers()[0]
-    sim_config = config if BUDGET else OverlayConfig(3, 2, 2)
-    compiled = compile_schedule(schedule_layer(layer, sim_config))
-    rng = np.random.default_rng(42)
-    weights, acts = random_layer_operands(layer, rng)
-
-    reference = CycleSimulator(sim_config, functional_engine="reference")
-    vectorized = CycleSimulator(sim_config)
-    t0 = time.perf_counter()
-    out_ref, useful_ref, issued_ref = reference._functional(
-        compiled, weights, acts
-    )
-    t_ref = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    out_vec, useful_vec, issued_vec = vectorized._functional(
-        compiled, weights, acts
-    )
-    t_vec = time.perf_counter() - t0
-
-    bit_identical = bool(
-        np.array_equal(out_ref, out_vec)
-        and (useful_ref, issued_ref) == (useful_vec, issued_vec)
-    )
-    assert bit_identical, "vectorized simulator diverged from reference"
-    speedup = t_ref / t_vec if t_vec > 0 else float("inf")
-    assert speedup > 1.0, (
-        f"vectorized simulator not faster: {speedup:.2f}x"
-    )
-    return {
-        "layer": layer.name,
-        "maccs": int(layer.maccs),
-        "t_reference_s": round(t_ref, 4),
-        "t_vectorized_s": round(t_vec, 4),
-        "speedup": round(speedup, 1),
-        "bit_identical": bit_identical,
-    }
-
-
 def test_compile_fast_path_speed(out_dir, tmp_path):
     config, networks = _workloads()
     rows = [
         _bench_network(network, config, tmp_path / network.name)
         for network in networks
     ]
-    sim = _bench_simulator(config)
 
     bench = {
         "bench": "compile_fast_path",
@@ -178,7 +130,6 @@ def test_compile_fast_path_speed(out_dir, tmp_path):
         "grid": f"{config.d1}x{config.d2}x{config.d3}",
         "warm_speedup_floor": WARM_SPEEDUP_FLOOR,
         "networks": rows,
-        "simulator": sim,
     }
     (OUT_DIR / "BENCH_compile.json").write_text(
         json.dumps(bench, indent=2, sort_keys=True) + "\n"
@@ -197,11 +148,6 @@ def test_compile_fast_path_speed(out_dir, tmp_path):
             f"{row['t_warm_store_s']:>8.3f} {row['warm_speedup']:>7.1f}x "
             f"{row['candidates_per_s']:>10,.0f}"
         )
-    lines.append(
-        f"simulator ({sim['layer']}, {sim['maccs']:,} MACCs): "
-        f"reference {sim['t_reference_s']:.3f}s vs vectorized "
-        f"{sim['t_vectorized_s']:.3f}s -> {sim['speedup']:.1f}x"
-    )
     text = "\n".join(lines)
     (OUT_DIR / "compile_fast_path.txt").write_text(text + "\n")
     print(f"\n=== compile_fast_path ===\n{text}")

@@ -10,11 +10,6 @@ Compiles SmallCNN three ways and shows they are byte-for-byte identical:
    of searching (the recorded step charge is replayed, keeping traces
    identical warm or cold).
 
-Also flips the cycle simulator between its two functional engines —
-the per-MACC reference datapath walk and the default engine, which
-proves the mapping's coverage and returns the golden kernel's output —
-and checks they agree bit for bit.
-
 Run:  PYTHONPATH=src python examples/compile_cache_demo.py
 """
 
@@ -22,14 +17,10 @@ from __future__ import annotations
 
 import tempfile
 
-import numpy as np
-
-from repro.compiler import compile_schedule, schedule_network
+from repro.compiler import schedule_network
 from repro.compiler.cache import ScheduleCache
 from repro.compiler.persist import PersistentScheduleStore
 from repro.overlay.config import OverlayConfig
-from repro.sim.cycle import CycleSimulator
-from repro.sim.functional import random_layer_operands
 from repro.workloads.models import build_smallcnn
 
 
@@ -57,19 +48,6 @@ def main() -> None:
         assert a.mapping == b.mapping == c.mapping
         assert a.estimate == b.estimate == c.estimate
     print("all three compile paths returned identical schedules")
-
-    # Functional engines: reference datapath walk vs coverage proof.
-    layer = layers[0]
-    compiled = compile_schedule(baseline[0])
-    weights, acts = random_layer_operands(layer, np.random.default_rng(0))
-    reference = CycleSimulator(config, functional_engine="reference")
-    vectorized = CycleSimulator(config)
-    out_ref, useful_ref, _ = reference._functional(compiled, weights, acts)
-    out_vec, useful_vec, _ = vectorized._functional(compiled, weights, acts)
-    assert np.array_equal(out_ref, out_vec) and useful_ref == useful_vec
-    print(f"simulator engines agree bit-for-bit on {layer.name} "
-          f"({useful_vec:,} useful MACCs)")
-
 
 if __name__ == "__main__":
     main()

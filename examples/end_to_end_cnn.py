@@ -5,9 +5,8 @@ Pushes one input through a small sequential CNN with every stage executed
 on the reproduction's own machinery:
 
 * CONV/MM layers: compiled by the FTDL scheduler, lowered to controller
-  instructions, and executed on the cycle-level overlay model, whose
-  default engine proves Eqn-11 coverage and returns the golden NumPy
-  kernel's output;
+  instructions, and executed on the cycle-level overlay model, which
+  proves Eqn-11 coverage and returns the golden NumPy kernel's output;
 * layer boundaries: fixed-point requantization back to int16;
 * EWOP layers (ReLU, pooling): the host CPU model, pipelined with the
   overlay — reproducing the paper's claim that host EWOP never becomes

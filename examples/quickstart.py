@@ -7,8 +7,8 @@ cycle-level architectural simulation — runs in seconds:
 1. describe a convolution layer;
 2. let the compiler search the mapping-vector space (Objective 1);
 3. lower the winning schedule to controller instructions;
-4. execute them on the cycle simulator, whose default engine proves the
-   mapping covers every loop and returns the golden model's output.
+4. execute them on the cycle simulator, which proves the mapping covers
+   every loop and returns the golden model's output.
 
 Run:  python examples/quickstart.py
 """
@@ -70,10 +70,10 @@ def main() -> None:
     print(f"\ncodegen: {compiled.n_rows} row programs, "
           f"{len(stream)} bytes per row InstBUS stream")
 
-    # 3. Simulate cycle-by-cycle.  The default functional engine proves
-    #    the mapping covers every loop (Eqn 11) and returns the golden
-    #    model's output; `python -m repro.tools.simulate` runs the
-    #    per-MACC reference datapath and compares it bit for bit.
+    # 3. Simulate cycle-by-cycle.  The simulator proves the mapping
+    #    covers every loop (Eqn 11) and returns the golden model's
+    #    output; `python -m repro.tools.simulate` adds check_golden=True,
+    #    walking every MACC through the datapath and comparing bit for bit.
     weights, acts = random_layer_operands(layer, np.random.default_rng(7))
     run = CycleSimulator(config).run_layer(compiled, weights, acts)
     print("\nsimulation:")

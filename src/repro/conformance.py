@@ -6,15 +6,13 @@ workload through the whole stack and reports what held:
 1. **Search**: every accelerated layer schedules on the target overlay
    (one shared :class:`~repro.compiler.cache.ScheduleCache`, beam widths
    from the budget).
-2. **Simulation**: sampled layers run on the cycle simulator.  The
-   default functional engine proves the mapping's Eqn-11 coverage and
-   returns the golden kernel's output; the smallest layers also run on
-   the per-MACC reference engine, which is checked against the golden
-   kernel (a mismatch is reported as an error) and must agree with the
-   default engine bit-for-bit (outputs under wrap-48, MACC counts and
-   cycles).  Useful-MACC
-   counters must conserve, and measured cycles must agree with the
-   schedule model within the established tolerance.
+2. **Simulation**: sampled layers run on the cycle simulator, which
+   proves the mapping's Eqn-11 coverage and returns the golden kernel's
+   output.  The smallest layers run with ``check_golden``, so the
+   per-MACC datapath walk must also reproduce that output and the MACC
+   counts bit-for-bit; any simulator error (including a useful-MACC
+   count that does not conserve) is reported.  Measured cycles must
+   agree with the schedule model within the established tolerance.
 3. **Serving**: one batch dispatches end to end through the replica
    service model.
 4. **Faults**: a TPE mask shrinks the grid and the network recompiles on
@@ -57,8 +55,8 @@ from repro.sim.pipeline import NetworkSimulator
 from repro.workloads.layers import ConvLayer, LayerKind, MatMulLayer
 from repro.workloads.registry import WorkloadSpec
 
-#: Default conformance overlay: small enough that the reference engine
-#: and per-layer search stay affordable across the whole registry.
+#: Default conformance overlay: small enough that the datapath walk and
+#: per-layer search stay affordable across the whole registry.
 CONFORMANCE_CONFIG = OverlayConfig(d1=3, d2=2, d3=2)
 
 
@@ -68,17 +66,17 @@ class ConformanceBudget:
 
     The beams trade schedule quality for compile time; the sim caps
     bound how many layers are simulated, and how many (and how large)
-    also run on the per-MACC reference engine.  The default engine costs
-    one golden-kernel call per layer, so it has no size cap.
+    also run the per-MACC datapath walk.  A simulation without the walk
+    costs one golden-kernel call per layer, so it has no size cap.
     """
 
     spatial_beam: int = 16
     temporal_beam: int = 24
-    #: Max distinct-signature layers simulated on the default engine.
+    #: Max distinct-signature layers simulated.
     max_sim_layers: int = 3
-    #: Max layers double-run on the per-MACC reference engine.
+    #: Max layers also checked by the per-MACC datapath walk.
     max_reference_layers: int = 2
-    #: Largest layer (in MACCs) the reference engine takes on.
+    #: Largest layer (in MACCs) the datapath walk takes on.
     max_reference_maccs: int = 60_000
     #: Requests in the serve-one-batch stage.
     batch_size: int = 2
@@ -101,12 +99,8 @@ class LayerSimCheck:
     measured_cycles: int
     #: Which Eqn-12 term binds in the analytical estimate.
     bottleneck: str
-    #: Whether the per-MACC reference engine double-ran this layer.
+    #: Whether the per-MACC datapath walk checked this layer.
     reference_checked: bool
-    #: Reference output/cycles identical to the default engine's.
-    engines_identical: bool
-    #: useful_maccs == layer MACCs (counter conservation).
-    conserved: bool
 
     @property
     def rel_cycle_error(self) -> float:
@@ -199,29 +193,17 @@ def _check_layer_sim(
     schedule = cache.schedule(layer)
     compiled = compile_schedule(schedule)
     weights, acts = random_layer_operands(layer, rng)
-    vec = CycleSimulator(config, functional_engine="vectorized").run_layer(
-        compiled, weights, acts,
+    run = CycleSimulator(config).run_layer(
+        compiled, weights, acts, check_golden=run_reference,
     )
-    engines_identical = True
-    if run_reference:
-        ref = CycleSimulator(config, functional_engine="reference").run_layer(
-            compiled, weights, acts, check_golden=True,
-        )
-        engines_identical = (
-            bool(np.array_equal(vec.output, ref.output))
-            and vec.cycles == ref.cycles
-            and vec.useful_maccs == ref.useful_maccs
-        )
     return LayerSimCheck(
         name=layer.name,
         signature=_signature_str(layer),
         maccs=layer.maccs,
         model_cycles=schedule.cycles,
-        measured_cycles=vec.cycles,
+        measured_cycles=run.cycles,
         bottleneck=schedule.estimate.bottleneck,
         reference_checked=run_reference,
-        engines_identical=engines_identical,
-        conserved=vec.useful_maccs == layer.maccs,
     )
 
 
@@ -338,13 +320,10 @@ def run_workload_conformance(
             continue
         reference_runs += int(run_reference)
         checks.append(check)
-        for flag, label in (
-            (check.engines_identical, "engines diverge"),
-            (check.conserved, "MACC counter not conserved"),
-            (check.cycles_agree, "model vs measured cycles disagree"),
-        ):
-            if not flag:
-                report.errors.append(f"sim {layer.name!r}: {label}")
+        if not check.cycles_agree:
+            report.errors.append(
+                f"sim {layer.name!r}: model vs measured cycles disagree"
+            )
     report.sim_checks = tuple(checks)
 
     # 2b. Sequential workloads chain end to end through the bit-true
@@ -367,7 +346,7 @@ def run_workload_conformance(
             else:
                 in_shape = (first.n_features, first.batch)
             inputs = rng.integers(-127, 128, size=in_shape).astype(np.int16)
-            chain = sim.run(network, inputs, weights, check_golden=True)
+            chain = sim.run(network, inputs, weights)
             report.chained = True
             report.chain_cycles = chain.pipelined_cycles
             if len(chain.stages) != len(network.layers):

@@ -4,30 +4,24 @@ Plays the role of the paper's RTL simulation: executes a
 :class:`repro.compiler.codegen.CompiledLayer` on an architectural model of
 the ``D1 x D2 x D3`` grid and reports
 
-* **functional output** — bit-true (48-bit wrap, zero padding), either
-  routed MACC by MACC through the TPE/SuperBlock datapath objects or
-  proven equal to the golden NumPy models;
+* **functional output** — bit-true (48-bit wrap, zero padding), proven
+  equal to the golden NumPy model;
 * **cycle count** — a double-buffered pipeline timeline per SuperBlock
   row with explicit ActBUS / PSumBUS / DRAM contention, from which the
   measured *hardware efficiency* follows;
 * **DRAM trace** — the access stream handed to :mod:`repro.dram`.
 
-Two functional engines produce that output, selectable per simulator and
-bit-identical by construction (and by test sweep):
-
-* ``"reference"`` — visits every MACC in Python, routing each through
-  the TPE/SuperBlock datapath objects.  Slow, but it exercises the
-  buffer addressing and cascade structure directly; it is the oracle
-  the default engine is tested against.
-* ``"vectorized"`` (default) — proves coverage instead of walking the
-  iterations.  The mapping's index math is a per-loop mixed-radix
-  bijection onto the padded extents, so checking Eqn 11 per loop is
-  enough to know every in-range MACC is issued exactly once; the output
-  is then the golden kernel's and the MACC counts are closed-form
-  products.  It does not re-derive the operand gather: the gather maps
-  stay covered by the reference engine, which the test suite
-  golden-checks on fixed and fuzzed layers and grids
-  (``tests/test_integration.py``, ``tests/test_fullstack_fuzz.py``).
+The output is proven, not replayed.  The mapping's index math is a
+per-loop mixed-radix bijection onto the padded extents, so checking
+Eqn 11 per loop is enough to know every in-range MACC is issued exactly
+once; the output is then the golden kernel's and the MACC counts are
+closed-form products.  The proof does not re-derive the operand gather,
+so ``run_layer(..., check_golden=True)`` also walks every MACC through
+the TPE/SuperBlock datapath objects (slow, but it exercises the buffer
+addressing and cascade structure directly) and raises unless the walk's
+output and MACC counts equal the proof's.  The test suite runs that
+check on fixed and fuzzed layers and grids (``tests/test_integration.py``,
+``tests/test_fullstack_fuzz.py``).
 """
 
 from __future__ import annotations
@@ -61,10 +55,6 @@ class LayerRun:
         useful_maccs: MACCs that contributed to in-range outputs.
         issued_maccs: MACC slots issued (includes padding waste).
         output: Accumulated output tensor in the layer's logical shape.
-        golden_match: Whether ``output`` equals the golden model.  Only
-            the reference engine compares the two (with ``check_golden``;
-            a mismatch raises); the default engine's output is the golden
-            model's by construction.
         trace: The DRAM access trace.
         n_tpe: TPEs of the simulated configuration.
         bus_busy: Busy cycles per bus name.
@@ -74,7 +64,6 @@ class LayerRun:
     useful_maccs: int
     issued_maccs: int
     output: np.ndarray
-    golden_match: bool
     trace: DramTrace
     n_tpe: int
     bus_busy: dict[str, int] = field(default_factory=dict)
@@ -87,55 +76,27 @@ class LayerRun:
         return self.useful_maccs / (self.n_tpe * self.cycles)
 
 
-#: Functional-engine names accepted by :class:`CycleSimulator`.
-FUNCTIONAL_ENGINES = ("vectorized", "reference")
-
-
 class CycleSimulator:
     """Executes compiled layers on an overlay configuration.
 
     Args:
         config: The overlay to simulate.
-        functional_engine: ``"vectorized"`` (the default: an Eqn-11
-            coverage proof, then the golden kernel's output) or
-            ``"reference"`` (per-MACC datapath objects).  Both produce
-            bit-identical outputs and MACC counts.
     """
 
-    def __init__(self, config: OverlayConfig,
-                 functional_engine: str = "vectorized"):
-        if functional_engine not in FUNCTIONAL_ENGINES:
-            raise SimulationError(
-                f"unknown functional engine {functional_engine!r}; "
-                f"expected one of {FUNCTIONAL_ENGINES}"
-            )
+    def __init__(self, config: OverlayConfig):
         self.config = config
-        self.functional_engine = functional_engine
 
     # ------------------------------------------------------------------ #
     # functional execution
     # ------------------------------------------------------------------ #
-    def _functional(
-        self,
-        compiled: CompiledLayer,
-        weights: np.ndarray,
-        acts: np.ndarray,
-    ) -> tuple[np.ndarray, int, int]:
-        """Dispatch to the selected functional engine.
-
-        Returns (output, useful_maccs, issued_maccs).
-        """
-        if self.functional_engine == "reference":
-            return self._functional_reference(compiled, weights, acts)
-        return self._functional_vectorized(compiled, weights, acts)
-
     def _functional_reference(
         self,
         compiled: CompiledLayer,
         weights: np.ndarray,
         acts: np.ndarray,
     ) -> tuple[np.ndarray, int, int]:
-        """Route every MACC through the datapath objects.
+        """Route every MACC through the datapath objects: the oracle
+        ``run_layer(..., check_golden=True)`` checks the proof against.
 
         Returns (output, useful_maccs, issued_maccs).
         """
@@ -414,34 +375,45 @@ class CycleSimulator:
         compiled: CompiledLayer,
         weights: np.ndarray,
         acts: np.ndarray,
-        check_golden: bool = True,
+        check_golden: bool = False,
     ) -> LayerRun:
         """Simulate ``compiled`` end to end.
 
-        The golden kernel runs at most once: it is the default engine's
-        output, and only the reference engine is compared against it.
+        Always proves the mapping's coverage and returns the golden
+        kernel's output with the closed-form MACC counts.  With
+        ``check_golden`` it also walks every MACC through the datapath
+        objects and compares the walk with the proof; the golden kernel
+        still runs once.
 
         Raises:
             SimulationError: if the operands are mis-shaped for the
-                layer, the mapping under-covers a loop, the functional
-                output disagrees with the golden model (with
-                ``check_golden``) or the useful-MACC count does not equal
-                the layer's MACC count.
+                layer, the mapping under-covers a loop, the useful-MACC
+                count does not equal the layer's MACC count, or (with
+                ``check_golden``) the datapath walk's output, useful or
+                issued MACC count differs from the proof's.
         """
         layer = compiled.schedule.layer
         check_layer_operands(layer, weights, acts)
-        output, useful, issued = self._functional(compiled, weights, acts)
+        output, useful, issued = self._functional_vectorized(
+            compiled, weights, acts
+        )
         cycles, trace, busy = self._timeline(compiled)
 
-        golden_match = True
-        if check_golden and self.functional_engine == "reference":
-            golden = golden_layer_output(layer, weights, acts)
-            golden_match = bool(np.array_equal(output, golden))
-            if not golden_match:
-                mismatches = int(np.count_nonzero(output != golden))
+        if check_golden:
+            walked, walked_useful, walked_issued = self._functional_reference(
+                compiled, weights, acts
+            )
+            if not np.array_equal(walked, output):
+                mismatches = int(np.count_nonzero(walked != output))
                 raise SimulationError(
                     f"layer {layer.name!r}: simulated output disagrees with "
                     f"golden model at {mismatches} positions"
+                )
+            if (walked_useful, walked_issued) != (useful, issued):
+                raise SimulationError(
+                    f"layer {layer.name!r}: datapath walk issued "
+                    f"{walked_issued} MACCs ({walked_useful} useful), "
+                    f"coverage proof {issued} ({useful} useful)"
                 )
         if useful != layer.maccs:
             raise SimulationError(
@@ -454,7 +426,6 @@ class CycleSimulator:
             useful_maccs=useful,
             issued_maccs=issued,
             output=output,
-            golden_match=golden_match,
             trace=trace,
             n_tpe=self.config.n_tpe,
             bus_busy=busy,

@@ -1,11 +1,11 @@
 """Whole-network pipeline simulation: overlay + host CPU.
 
 Chains layers of a *sequential* network through the full stack: every
-CONV/MM executes on the cycle-level overlay simulator (bit-true, checked
-against the golden model), the wide accumulators requantize at each layer
-boundary, EWOP layers run on the :class:`repro.sim.host.HostCpu`, and the
-pipeline model overlaps host work with the next layer's overlay work —
-the paper's "EWOP processed by host CPU in a pipeline fashion".
+CONV/MM executes on the cycle-level overlay simulator (bit-true: coverage
+proven, output the golden model's), the wide accumulators requantize at
+each layer boundary, EWOP layers run on the :class:`repro.sim.host.HostCpu`,
+and the pipeline model overlaps host work with the next layer's overlay
+work — the paper's "EWOP processed by host CPU in a pipeline fashion".
 
 Topology restriction: the flat :class:`repro.workloads.Network` list can
 express straight-line networks exactly; branching topologies (inception
@@ -109,7 +109,6 @@ class NetworkSimulator:
         network: Network,
         inputs: np.ndarray,
         weights: dict[str, np.ndarray],
-        check_golden: bool = True,
     ) -> PipelineRun:
         """Push one input through every layer of ``network``.
 
@@ -118,11 +117,6 @@ class NetworkSimulator:
                 previous one's output).
             inputs: int16 input tensor shaped for the first layer.
             weights: Layer name -> int16 weight tensor for every CONV/MM.
-            check_golden: Forwarded to
-                :meth:`~repro.sim.cycle.CycleSimulator.run_layer`.  The
-                default engine proves each accelerated layer's coverage
-                and returns its golden model's output, so no second
-                comparison runs.
 
         Raises:
             SimulationError: on shape breaks in the chain, missing
@@ -190,8 +184,7 @@ class NetworkSimulator:
             schedule = self._cache.schedule(layer)
             compiled = compile_schedule(schedule)
             layer_run: LayerRun = self._simulator.run_layer(
-                compiled, layer_weights, activation,
-                check_golden=check_golden,
+                compiled, layer_weights, activation
             )
             shift = choose_shift(layer_run.output)
             activation = requantize(layer_run.output, shift)

@@ -15,3 +15,21 @@
   schedule through the serving engine and report availability, MTTR, and
   throughput-vs-masked-TPE degradation curves.
 """
+
+from repro.errors import FTDLError
+
+
+def parse_dims(text: str, flag: str, names: str) -> tuple[int, ...]:
+    """Parse ``text`` as the comma-separated integers ``names`` spells
+    (e.g. ``"D1,D2,D3"``).
+
+    Raises:
+        FTDLError: naming ``flag`` when ``text`` is not that many integers.
+    """
+    try:
+        dims = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        dims = ()
+    if len(dims) != len(names.split(",")):
+        raise FTDLError(f"{flag} expects integers {names}, got {text!r}")
+    return dims

@@ -23,6 +23,7 @@ from repro.compiler.codegen import compile_schedule
 from repro.compiler.search import schedule_layer
 from repro.errors import FTDLError
 from repro.overlay.config import OverlayConfig
+from repro.tools import parse_dims
 from repro.workloads.layers import ConvLayer, MatMulLayer
 from repro.workloads.mlperf import build_model
 
@@ -64,20 +65,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _layer_from_args(args: argparse.Namespace):
     if args.conv:
-        m, n, h, w, r, s = (int(x) for x in args.conv.split(","))
+        m, n, h, w, r, s = parse_dims(args.conv, "--conv", "M,N,H,W,R,S")
         return ConvLayer("cli_conv", n, m, in_h=h, in_w=w, kernel_h=r,
                          kernel_w=s, stride=args.stride, padding=args.padding)
-    n, m, p = (int(x) for x in args.mm.split(","))
+    n, m, p = parse_dims(args.mm, "--mm", "N,M,P")
     return MatMulLayer("cli_mm", in_features=m, out_features=n, batch=p)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     d1, d2, d3 = args.grid
-    config = OverlayConfig(d1=d1, d2=d2, d3=d3, clk_h_mhz=args.clk)
-    print(f"overlay {d1}x{d2}x{d3} @ {args.clk:.0f} MHz "
-          f"({config.n_tpe} TPEs, peak {config.peak_gops:.0f} GOPS)")
     try:
+        config = OverlayConfig(d1=d1, d2=d2, d3=d3, clk_h_mhz=args.clk)
+        print(f"overlay {d1}x{d2}x{d3} @ {args.clk:.0f} MHz "
+              f"({config.n_tpe} TPEs, peak {config.peak_gops:.0f} GOPS)")
         if args.model:
             net = build_model(args.model)
             cache = ScheduleCache(config, objective=args.objective)

@@ -2,10 +2,11 @@
 
 Hypothesis draws random layer shapes and overlay grids; every draw must
 compile to a feasible schedule whose cycle-level execution is bit-exact
-against the golden model.  The golden check runs on the per-MACC
-reference engine (the default engine returns the golden kernel's output
-once it has proven coverage), and the default engine must agree with it
-exactly.  This is the wide net behind the fixed integration matrix.
+against the golden model.  Every layer runs with ``check_golden=True``:
+the simulator returns the golden kernel's output once it has proven
+coverage, and the per-MACC datapath walk must reproduce that output and
+the MACC counts exactly.  This is the wide net behind the fixed
+integration matrix.
 """
 
 from __future__ import annotations
@@ -59,19 +60,11 @@ mm_strategy = st.builds(
 )
 
 
-def _run_both_engines(config, compiled, weights, acts):
-    """Golden-checked reference run, after asserting the default engine
-    agrees with it bit for bit."""
-    ref = CycleSimulator(config, functional_engine="reference").run_layer(
-        compiled, weights, acts
+def _run_checked(config, compiled, weights, acts):
+    """Simulate with the datapath walk checked against the coverage proof."""
+    return CycleSimulator(config).run_layer(
+        compiled, weights, acts, check_golden=True
     )
-    assert ref.golden_match
-    vec = CycleSimulator(config).run_layer(compiled, weights, acts)
-    assert np.array_equal(vec.output, ref.output)
-    assert (vec.useful_maccs, vec.issued_maccs, vec.cycles) == (
-        ref.useful_maccs, ref.issued_maccs, ref.cycles
-    )
-    return ref
 
 
 def _run_fullstack(layer, config, seed):
@@ -83,7 +76,7 @@ def _run_fullstack(layer, config, seed):
     weights, acts = random_layer_operands(
         layer, np.random.default_rng(seed)
     )
-    run = _run_both_engines(config, compiled, weights, acts)
+    run = _run_checked(config, compiled, weights, acts)
     assert run.useful_maccs == layer.maccs
     assert run.issued_maccs >= run.useful_maccs
 
@@ -197,7 +190,7 @@ def test_forced_multipass_bit_exact(rng):
     assert schedule.mapping.x > 1
     compiled = compile_schedule(schedule)
     weights, acts = random_layer_operands(layer, rng)
-    _run_both_engines(config, compiled, weights, acts)
+    _run_checked(config, compiled, weights, acts)
 
 
 def test_reduction_on_x_accumulates_across_passes(rng):
@@ -225,7 +218,7 @@ def test_reduction_on_x_accumulates_across_passes(rng):
     )
     compiled = compile_schedule(schedule)
     weights, acts = random_layer_operands(layer, rng)
-    run = _run_both_engines(config, compiled, weights, acts)
+    run = _run_checked(config, compiled, weights, acts)
     # The trace shows the multipass refetch stream.
     assert run.trace.total_words("RD", "psum") > 0
 
@@ -278,14 +271,10 @@ def test_fuzz_tiny_attention_chains_bit_true(d_model, seq_len, n_classes,
     inputs = rng.integers(
         -127, 128, size=(first.n_features, first.batch)
     ).astype(np.int16)
-    run = NetworkSimulator(config).run(
-        network, inputs, weights, check_golden=True,
-    )
+    run = NetworkSimulator(config).run(network, inputs, weights)
     assert len(run.stages) == len(network.layers)
     assert run.output.shape == (n_classes, seq_len)
-    rerun = NetworkSimulator(config).run(
-        network, inputs, weights, check_golden=True,
-    )
+    rerun = NetworkSimulator(config).run(network, inputs, weights)
     assert np.array_equal(run.output, rerun.output)
     assert run.overlay_cycles == rerun.overlay_cycles
     assert run.host_cycles == rerun.host_cycles

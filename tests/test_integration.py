@@ -42,18 +42,17 @@ CONFIG_MATRIX = [
 @pytest.mark.parametrize("layer", LAYER_MATRIX, ids=lambda l: l.name)
 @pytest.mark.parametrize("cfg_index", range(len(CONFIG_MATRIX)))
 def test_full_stack_bit_exact(layer, cfg_index, rng):
-    """Every (layer, config) pair: the compiled schedule, executed on the
-    architectural simulator's per-MACC reference datapath, reproduces the
-    golden output bit-exactly and issues exactly the layer's MACC count as
-    useful work."""
+    """Every (layer, config) pair: the compiled schedule, walked MACC by
+    MACC through the architectural simulator's datapath (``check_golden``
+    raises otherwise), reproduces the golden output bit-exactly and issues
+    exactly the layer's MACC count as useful work."""
     config = CONFIG_MATRIX[cfg_index]
     schedule = schedule_layer(layer, config)
     compiled = compile_schedule(schedule)
     weights, acts = random_layer_operands(layer, rng)
-    run = CycleSimulator(config, functional_engine="reference").run_layer(
-        compiled, weights, acts
+    run = CycleSimulator(config).run_layer(
+        compiled, weights, acts, check_golden=True
     )
-    assert run.golden_match
     assert run.useful_maccs == layer.maccs
     # Timing: the simulator tracks the analytical estimate up to the
     # pipeline head/tail (first tile load + final drain) that the Eqn-12
@@ -71,10 +70,9 @@ def test_balance_objective_full_stack(rng):
     schedule = schedule_layer(layer, config, objective="balance")
     compiled = compile_schedule(schedule)
     weights, acts = random_layer_operands(layer, rng)
-    run = CycleSimulator(config, functional_engine="reference").run_layer(
-        compiled, weights, acts
+    CycleSimulator(config).run_layer(
+        compiled, weights, acts, check_golden=True
     )
-    assert run.golden_match
 
 
 def test_topk_schedules_all_functionally_correct(rng):
@@ -82,10 +80,10 @@ def test_topk_schedules_all_functionally_correct(rng):
     layer = ConvLayer("c", 4, 6, in_h=6, in_w=6, kernel_h=3, kernel_w=3)
     config = CONFIG_MATRIX[0]
     weights, acts = random_layer_operands(layer, rng)
-    sim = CycleSimulator(config, functional_engine="reference")
+    sim = CycleSimulator(config)
     for schedule in ScheduleSearch(layer, config, top_k=5).run():
-        run = sim.run_layer(compile_schedule(schedule), weights, acts)
-        assert run.golden_match
+        sim.run_layer(compile_schedule(schedule), weights, acts,
+                      check_golden=True)
 
 
 def test_public_api_exports_resolve():

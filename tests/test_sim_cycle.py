@@ -1,9 +1,9 @@
 """Cycle simulator: functional equivalence with the golden models and
 timing consistency with the analytical model.
 
-Golden checks run on the per-MACC reference engine: the default engine's
-output *is* the golden kernel's once it has proven coverage, so only the
-reference datapath walk compares two independent computations.
+Golden checks run with ``check_golden=True``: without it the output *is*
+the golden kernel's once coverage is proven, so only the per-MACC
+datapath walk compares two independent computations.
 """
 
 import numpy as np
@@ -14,42 +14,39 @@ from repro.compiler.search import schedule_layer
 from repro.errors import SimulationError
 from repro.overlay.config import OverlayConfig
 from repro.sim import cycle
-from repro.sim.cycle import FUNCTIONAL_ENGINES, CycleSimulator
+from repro.sim.cycle import CycleSimulator
 from repro.sim.functional import golden_layer_output, random_layer_operands
 from repro.workloads.layers import ConvLayer, MatMulLayer
 
 
-def _run(layer, config, rng, objective="performance", engine="vectorized"):
+def _run(layer, config, rng, objective="performance", check_golden=False):
+    """Schedule, compile and simulate ``layer``; with ``check_golden`` the
+    run raises unless the datapath walk reproduces the golden output."""
     schedule = schedule_layer(layer, config, objective=objective)
     compiled = compile_schedule(schedule)
     weights, acts = random_layer_operands(layer, rng)
-    run = CycleSimulator(config, functional_engine=engine).run_layer(
-        compiled, weights, acts
+    run = CycleSimulator(config).run_layer(
+        compiled, weights, acts, check_golden
     )
     return schedule, run
 
 
 class TestFunctionalEquivalence:
     def test_conv_matches_golden(self, small_conv, tiny_config, rng):
-        _, run = _run(small_conv, tiny_config, rng, engine="reference")
-        assert run.golden_match
+        _run(small_conv, tiny_config, rng, check_golden=True)
 
     def test_strided_conv_matches_golden(self, strided_conv, tiny_config, rng):
-        _, run = _run(strided_conv, tiny_config, rng, engine="reference")
-        assert run.golden_match
+        _run(strided_conv, tiny_config, rng, check_golden=True)
 
     def test_pointwise_conv_matches_golden(self, pointwise_conv, tiny_config, rng):
-        _, run = _run(pointwise_conv, tiny_config, rng, engine="reference")
-        assert run.golden_match
+        _run(pointwise_conv, tiny_config, rng, check_golden=True)
 
     def test_mm_matches_golden(self, small_mm, tiny_config, rng):
-        _, run = _run(small_mm, tiny_config, rng, engine="reference")
-        assert run.golden_match
+        _run(small_mm, tiny_config, rng, check_golden=True)
 
     def test_balance_objective_also_correct(self, small_conv, tiny_config, rng):
-        _, run = _run(small_conv, tiny_config, rng, objective="balance",
-                      engine="reference")
-        assert run.golden_match
+        _run(small_conv, tiny_config, rng, objective="balance",
+             check_golden=True)
 
     def test_useful_maccs_exact(self, small_conv, tiny_config, rng):
         _, run = _run(small_conv, tiny_config, rng)
@@ -70,9 +67,31 @@ class TestFunctionalEquivalence:
             cycle, "golden_layer_output",
             lambda layer, w, a: golden_layer_output(layer, w + 1, a),
         )
-        sim = CycleSimulator(tiny_config, functional_engine="reference")
+        sim = CycleSimulator(tiny_config)
         with pytest.raises(SimulationError, match="disagrees with golden"):
-            sim.run_layer(compiled, weights, acts)
+            sim.run_layer(compiled, weights, acts, check_golden=True)
+
+    @pytest.mark.parametrize("skew", [(1, 0), (0, 1)],
+                             ids=["useful", "issued"])
+    def test_walk_macc_count_mismatch_detected(self, skew, small_mm,
+                                               tiny_config, rng,
+                                               monkeypatch):
+        """A datapath walk whose useful or issued MACC count differs from
+        the coverage proof's raises, even when its output agrees."""
+        compiled = compile_schedule(schedule_layer(small_mm, tiny_config))
+        weights, acts = random_layer_operands(small_mm, rng)
+        walk = CycleSimulator._functional_reference
+
+        def skewed_walk(self, *args):
+            output, useful, issued = walk(self, *args)
+            return output, useful + skew[0], issued + skew[1]
+
+        monkeypatch.setattr(CycleSimulator, "_functional_reference",
+                            skewed_walk)
+        sim = CycleSimulator(tiny_config)
+        sim.run_layer(compiled, weights, acts)  # no walk, no check
+        with pytest.raises(SimulationError, match="datapath walk issued"):
+            sim.run_layer(compiled, weights, acts, check_golden=True)
 
     def test_extreme_operands_wrap_consistently(self, tiny_config, rng):
         """Full-range int16 operands: wrap-around must match the oracle."""
@@ -80,23 +99,24 @@ class TestFunctionalEquivalence:
         schedule = schedule_layer(layer, tiny_config)
         compiled = compile_schedule(schedule)
         weights, acts = random_layer_operands(layer, rng, magnitude=32767)
-        run = CycleSimulator(
-            tiny_config, functional_engine="reference"
-        ).run_layer(compiled, weights, acts)
-        assert run.golden_match
+        CycleSimulator(tiny_config).run_layer(
+            compiled, weights, acts, check_golden=True
+        )
 
 
 class TestOperandShapes:
-    """Mis-shaped operands fail with a structured error on both engines,
-    whether or not the golden check runs."""
+    """Mis-shaped operands fail with a structured error whether or not the
+    datapath walk (``_functional_reference``) runs beside the coverage
+    proof (``_functional_vectorized``)."""
 
     LAYER = MatMulLayer("fc", in_features=32, out_features=20, batch=1)
 
-    @pytest.mark.parametrize("engine", FUNCTIONAL_ENGINES)
+    @pytest.mark.parametrize("check_golden", [True, False],
+                             ids=["reference", "vectorized"])
     @pytest.mark.parametrize("case", ["weights_transposed", "acts_doubled",
                                       "acts_truncated"])
-    def test_mis_shaped_operands_rejected(self, case, engine, tiny_config,
-                                          rng):
+    def test_mis_shaped_operands_rejected(self, case, check_golden,
+                                          tiny_config, rng):
         compiled = compile_schedule(schedule_layer(self.LAYER, tiny_config))
         weights, acts = random_layer_operands(self.LAYER, rng)
         if case == "weights_transposed":
@@ -105,9 +125,9 @@ class TestOperandShapes:
             acts = np.concatenate([acts, acts])
         else:
             acts = acts[:10]
-        sim = CycleSimulator(tiny_config, functional_engine=engine)
+        sim = CycleSimulator(tiny_config)
         with pytest.raises(SimulationError, match="expects"):
-            sim.run_layer(compiled, weights, acts, check_golden=False)
+            sim.run_layer(compiled, weights, acts, check_golden)
 
 
 class TestTimingConsistency:
@@ -134,9 +154,8 @@ class TestTimingConsistency:
             s_wbuf_words=256, s_psumbuf_words=512, double_buffer=False,
         )
         _, run_db = _run(small_conv, base, rng)
-        _, run_serial = _run(small_conv, serial, rng, engine="reference")
+        _, run_serial = _run(small_conv, serial, rng, check_golden=True)
         assert run_serial.cycles > run_db.cycles
-        assert run_serial.golden_match
 
     def test_efficiency_in_unit_interval(self, small_conv, tiny_config, rng):
         _, run = _run(small_conv, tiny_config, rng)

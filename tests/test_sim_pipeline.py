@@ -78,7 +78,7 @@ class TestPipeline:
         vacuous."""
         net, weights, image, _ = standard_run
         slow = NetworkSimulator(config, host=HostCpu(ops_per_cycle=0.0001))
-        run = slow.run(net, image, weights, check_golden=False)
+        run = slow.run(net, image, weights)
         assert run.host_bound
         assert run.pipelined_cycles == run.host_cycles
 

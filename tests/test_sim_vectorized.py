@@ -1,10 +1,10 @@
-"""Default functional engine: bit-identity against the reference oracle.
+"""Coverage proof: bit-identity against the per-MACC datapath walk.
 
-The per-MACC reference engine is the oracle: it routes every issued MACC
-through the TPE/SuperBlock datapath objects.  The default (``"vectorized"``)
-engine proves the mapping's Eqn-11 coverage and returns the golden
+The datapath walk (``run_layer(..., check_golden=True)``) is the oracle:
+it routes every issued MACC through the TPE/SuperBlock datapath objects.
+The simulator proves the mapping's Eqn-11 coverage and returns the golden
 kernel's output, so outputs, useful-MACC counts, and issued-MACC counts
-must all be *exactly* equal to the oracle's — including zero padding,
+must all be *exactly* equal to the walk's — including zero padding,
 strides, grouped channels, and 48-bit accumulator wrap — and a mapping
 that under-covers a loop must be rejected.
 """
@@ -21,7 +21,7 @@ from repro.compiler.mapping import MappingVectors
 from repro.errors import SimulationError
 from repro.fixedpoint import _ACC_HALF, _ACC_MOD, wrap48
 from repro.overlay.config import OverlayConfig
-from repro.sim.cycle import FUNCTIONAL_ENGINES, CycleSimulator
+from repro.sim.cycle import CycleSimulator
 from repro.sim.functional import (
     conv2d_int16,
     golden_layer_output,
@@ -55,37 +55,34 @@ LAYERS = [
 @pytest.mark.parametrize("config", CONFIGS,
                          ids=lambda c: f"{c.d1}x{c.d2}x{c.d3}")
 def test_engines_bit_identical(layer, config):
+    """The datapath walk and the coverage proof agree bit for bit."""
     compiled = compile_schedule(schedule_layer(layer, config))
     rng = np.random.default_rng(hash(layer.name) % 2**32)
     weights, acts = random_layer_operands(layer, rng)
-    ref = CycleSimulator(config, functional_engine="reference")
-    vec = CycleSimulator(config)  # the coverage-proving default
-    out_r, useful_r, issued_r = ref._functional(compiled, weights, acts)
-    out_v, useful_v, issued_v = vec._functional(compiled, weights, acts)
-    assert np.array_equal(out_r, out_v)
-    assert (useful_r, issued_r) == (useful_v, issued_v)
-    assert useful_v == layer.maccs
-    assert np.array_equal(out_v, golden_layer_output(layer, weights, acts))
+    # Raises unless the walk's output and MACC counts equal the proof's.
+    run = CycleSimulator(config).run_layer(
+        compiled, weights, acts, check_golden=True
+    )
+    assert run.useful_maccs == layer.maccs
+    assert np.array_equal(run.output, golden_layer_output(layer, weights, acts))
 
 
 def test_run_layer_matches_between_engines():
+    """The datapath walk changes nothing about a run: it only checks."""
     config = OverlayConfig(3, 2, 2)
     layer = LAYERS[0]
     compiled = compile_schedule(schedule_layer(layer, config))
     rng = np.random.default_rng(11)
     weights, acts = random_layer_operands(layer, rng)
-    runs = [
-        CycleSimulator(config, functional_engine=engine).run_layer(
-            compiled, weights, acts
-        )
-        for engine in FUNCTIONAL_ENGINES
-    ]
-    first, second = runs
-    assert np.array_equal(first.output, second.output)
-    assert first.cycles == second.cycles
-    assert first.useful_maccs == second.useful_maccs
-    assert first.issued_maccs == second.issued_maccs
-    assert first.golden_match and second.golden_match
+    sim = CycleSimulator(config)
+    checked, plain = (
+        sim.run_layer(compiled, weights, acts, check_golden)
+        for check_golden in (True, False)
+    )
+    assert np.array_equal(checked.output, plain.output)
+    assert checked.cycles == plain.cycles
+    assert checked.useful_maccs == plain.useful_maccs
+    assert checked.issued_maccs == plain.issued_maccs
 
 
 def test_wrap_behaviour_is_preserved():
@@ -95,11 +92,9 @@ def test_wrap_behaviour_is_preserved():
     compiled = compile_schedule(schedule_layer(layer, config))
     rng = np.random.default_rng(3)
     weights, acts = random_layer_operands(layer, rng, magnitude=32767)
-    ref = CycleSimulator(config, functional_engine="reference")
-    vec = CycleSimulator(config)
-    out_r, *_ = ref._functional(compiled, weights, acts)
-    out_v, *_ = vec._functional(compiled, weights, acts)
-    assert np.array_equal(out_r, out_v)
+    CycleSimulator(config).run_layer(
+        compiled, weights, acts, check_golden=True
+    )
 
 
 def _with_mapping(compiled, loop_names, trips):
@@ -110,7 +105,7 @@ def _with_mapping(compiled, loop_names, trips):
 
 def test_under_covering_mapping_rejected():
     """A mapping whose padded extent falls short of one loop (Eqn 11)
-    makes the default engine raise, naming that loop."""
+    makes the simulator raise, naming that loop."""
     config = OverlayConfig(3, 2, 2)
     layer = MatMulLayer("short", in_features=17, out_features=9, batch=6)
     compiled = compile_schedule(schedule_layer(layer, config))
@@ -140,11 +135,6 @@ def test_mismatched_loop_names_rejected():
     weights, acts = random_layer_operands(layer, np.random.default_rng(0))
     with pytest.raises(SimulationError, match="mapping loops"):
         CycleSimulator(config).run_layer(bad, weights, acts)
-
-
-def test_unknown_engine_rejected():
-    with pytest.raises(SimulationError):
-        CycleSimulator(OverlayConfig(3, 2, 2), functional_engine="magic")
 
 
 class TestWrap48FastPath:

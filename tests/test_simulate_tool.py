@@ -41,6 +41,14 @@ class TestSimulateTool:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["--conv", "8,6,8"],
+        ["--mm", "4,4,1", "--grid", "2,2"],
+    ], ids=["short_conv", "short_grid"])
+    def test_malformed_dims_are_clean_errors(self, argv, capsys):
+        assert simulate.main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_mutually_exclusive(self):
         with pytest.raises(SystemExit):
             simulate.main(["--conv", "1,1,4,4,1,1", "--mm", "4,4,1"])

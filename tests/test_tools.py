@@ -39,6 +39,18 @@ class TestCompileTool:
         with pytest.raises(SystemExit):
             compile_tool.main(["--model", "GoogLeNet", "--mm", "4,4,1"])
 
+    @pytest.mark.parametrize("argv", [
+        ["--conv", "1,2"],
+        ["--mm", "4,x,1"],
+        ["--mm", "4,4,1", "--grid", "0,2,2"],
+        ["--mm", "4,4,1", "--clk", "-5"],
+    ], ids=["short_conv", "non_int_mm", "zero_grid", "negative_clk"])
+    def test_bad_value_is_clean_error(self, argv, capsys):
+        """Malformed shapes and an unbuildable overlay exit 1 with an
+        ``error:`` line, not a traceback."""
+        assert compile_tool.main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestTimingTool:
     def test_overlay_report(self, capsys):

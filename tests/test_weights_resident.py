@@ -54,10 +54,9 @@ class TestSimulator:
         schedule = schedule_layer(small_conv, resident_config)
         compiled = compile_schedule(schedule)
         weights, acts = random_layer_operands(small_conv, rng)
-        run = CycleSimulator(
-            resident_config, functional_engine="reference"
-        ).run_layer(compiled, weights, acts)
-        assert run.golden_match
+        run = CycleSimulator(resident_config).run_layer(
+            compiled, weights, acts, check_golden=True
+        )
         assert run.trace.total_words("RD", "weight") == 0
 
     def test_streamed_still_traces_weights(self, tiny_config, small_conv, rng):
@@ -73,9 +72,8 @@ class TestSimulator:
         runs = {}
         for config in (tiny_config, resident_config):
             schedule = schedule_layer(small_conv, config)
-            engine = "reference" if config.weights_resident else "vectorized"
-            runs[config.weights_resident] = CycleSimulator(
-                config, functional_engine=engine
-            ).run_layer(compile_schedule(schedule), weights, acts)
+            runs[config.weights_resident] = CycleSimulator(config).run_layer(
+                compile_schedule(schedule), weights, acts,
+                check_golden=config.weights_resident,
+            )
         assert runs[True].cycles <= runs[False].cycles
-        assert runs[True].golden_match

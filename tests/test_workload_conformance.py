@@ -3,7 +3,7 @@
 The headline harness of the workload registry: each registered network —
 the paper's five Table I models plus the transformer suite — runs
 through schedule search, cycle simulation against the functional golden
-kernels (vectorized and reference engines bit-identical), one served
+kernels (the per-MACC datapath walk bit-identical on small layers), one served
 batch, a fault-masked recompile, ABFT detect/correct, host-kernel
 determinism, and (where declared) mixed-precision evaluation.  One
 report per workload; the tests then assert each stage's invariant
@@ -56,9 +56,11 @@ class TestEveryWorkload:
     def test_simulation_bit_identical_and_conserved(self, name):
         report = _report(name)
         assert report.sim_checks, "no layer was simulated"
+        # A datapath walk that diverges from the coverage proof, or a
+        # useful-MACC count that does not conserve, raises in run_layer
+        # and is reported as a ``sim`` error.
+        assert not [e for e in report.errors if e.startswith("sim ")]
         for check in report.sim_checks:
-            assert check.conserved, check.name
-            assert check.engines_identical, check.name
             assert check.cycles_agree, (
                 check.name, check.model_cycles, check.measured_cycles,
             )
