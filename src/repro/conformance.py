@@ -13,8 +13,8 @@ workload through the whole stack and reports what held:
    counts bit-for-bit; any simulator error (including a useful-MACC
    count that does not conserve) is reported.  Measured cycles must
    agree with the schedule model within the established tolerance.
-3. **Serving**: one batch dispatches end to end through the replica
-   service model.
+3. **Serving**: one batch is served end to end by
+   :class:`~repro.serving.engine.ServingEngine` on one replica.
 4. **Faults**: a TPE mask shrinks the grid and the network recompiles on
    the largest healthy sub-grid.
 5. **Integrity**: ABFT checksums detect an injected weight flip and
@@ -36,8 +36,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.cluster.router import ClusterRouter
-from repro.cluster.topology import build_fleet
 from repro.compiler.cache import ScheduleCache, layer_signature
 from repro.compiler.codegen import compile_schedule
 from repro.errors import FTDLError
@@ -45,8 +43,9 @@ from repro.faults.mask import FaultMask, largest_healthy_subgrid
 from repro.integrity.abft import abft_layer_output
 from repro.overlay.config import OverlayConfig
 from repro.analysis.quantization import mixed_precision_report
-from repro.serving.batcher import Batch, BatchServiceModel
-from repro.serving.request import InferenceRequest
+from repro.serving.batcher import BatchPolicy, BatchServiceModel
+from repro.serving.engine import ServingEngine
+from repro.serving.request import make_requests
 from repro.serving.scheduler import ReplicaService
 from repro.sim.cycle import CycleSimulator
 from repro.sim.functional import random_layer_operands
@@ -354,26 +353,23 @@ def run_workload_conformance(
         except FTDLError as error:
             report.errors.append(f"chain: {error}")
 
-    # 3. Serve one batch end to end.
+    # 3. Serve one batch end to end: every request arrives at t = 0 and
+    #    max_batch is the batch size, so the batch launches at once.
     try:
-        model = BatchServiceModel(network, config, cache=cache)
-        service = ReplicaService(model)
-        router = ClusterRouter(
-            build_fleet(1, 1, board_names=service.replica_names())
+        engine = ServingEngine(
+            ReplicaService(BatchServiceModel(network, config, cache=cache)),
+            batch_policy=BatchPolicy(max_batch=budget.batch_size),
         )
-        requests = tuple(
-            InferenceRequest(request_id=i, model=spec.name, arrival_s=0.0)
-            for i in range(budget.batch_size)
+        served = engine.run(
+            make_requests([0.0] * budget.batch_size, spec.name)
         )
-        batch = Batch(requests=requests, formed_s=0.0)
-        dispatch = router.dispatch(
-            router.free_board(0.0), batch, 0.0,
-            occupancy_s=service.occupancy_s(batch.size),
-            latency_s=service.latency_s(batch.size),
+        report.serve_batch = min(
+            (r.batch_size for r in served.completed), default=0
         )
-        report.serve_batch = batch.size
-        report.serve_s = dispatch.complete_s
-        if dispatch.complete_s <= 0.0:
+        report.serve_s = served.makespan_s
+        if served.n_completed != budget.batch_size:
+            report.errors.append("serve: not every request completed")
+        if served.makespan_s <= 0.0:
             report.errors.append("serve: non-positive completion time")
     except FTDLError as error:
         report.errors.append(f"serve: {error}")

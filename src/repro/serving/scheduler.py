@@ -122,6 +122,9 @@ class PipelineService:
         self.plan = plan
         self.n_replicas = n_replicas
         self._stages = []
+        self._degraded: dict[
+            tuple[int, tuple[int, int, int]], BatchServiceModel
+        ] = {}
         for stage in plan.stages:
             stage_config = (
                 dataclasses.replace(config, weights_resident=True)
@@ -187,21 +190,27 @@ class PipelineService:
         Approximation: the mask is applied to every stage's grid (the
         stages share the replica's physical overlay shape) and the
         inflation of the *bottleneck* stage is returned, since the
-        initiation interval gates pipeline throughput.
+        initiation interval gates pipeline throughput.  Each stage's
+        degraded :class:`BatchServiceModel` is memoized per (stage,
+        sub-grid shape), as in :meth:`ReplicaService.degrade_slowdown`.
 
         Raises:
             FaultError: if no healthy sub-grid remains.
         """
         if not masked:
             return 1.0
+        mask = FaultMask.from_coords(masked)
         worst = 1.0
-        for stage in self._stages:
-            config = largest_healthy_subgrid(
-                stage.config, FaultMask.from_coords(masked)
-            )
+        for index, stage in enumerate(self._stages):
+            config = largest_healthy_subgrid(stage.config, mask)
             if config.grid == stage.config.grid:
                 continue
-            degraded = BatchServiceModel(stage.network, config)
+            key = (index, config.grid)
+            if key not in self._degraded:
+                self._degraded[key] = BatchServiceModel(
+                    stage.network, config
+                )
+            degraded = self._degraded[key]
             worst = max(
                 worst, degraded.service_s(batch_size)
                 / stage.service_s(batch_size)

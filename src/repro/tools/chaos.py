@@ -31,7 +31,7 @@ from repro.faults import (
     generate_fault_schedule,
     random_tpe_mask,
 )
-from repro.overlay.config import OverlayConfig, PAPER_EXAMPLE_CONFIG
+from repro.overlay.config import OverlayConfig
 from repro.serving import (
     AdmissionPolicy,
     BatchPolicy,
@@ -42,8 +42,13 @@ from repro.serving import (
     make_requests,
     poisson_arrivals,
 )
-from repro.workloads.mlperf import MLPERF_MODELS, build_model
-from repro.workloads.models import build_smallcnn
+from repro.tools import (
+    MODEL_CHOICES,
+    build_network,
+    grid_config,
+    parse_floats,
+    run_cli,
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,10 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro.tools.chaos", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument(
-        "--model", default="SmallCNN",
-        choices=[*MLPERF_MODELS, "SmallCNN"],
-    )
+    parser.add_argument("--model", default="SmallCNN", choices=MODEL_CHOICES)
     parser.add_argument(
         "--grid", default=None, metavar="D1,D2,D3",
         help="overlay grid (default: the paper's 12,5,20)",
@@ -96,12 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
              "curve ('' skips the curve)",
     )
     return parser
-
-
-def _build_network(name: str):
-    if name == "SmallCNN":
-        return build_smallcnn()
-    return build_model(name)
 
 
 def _chaos_run(args, network, config: OverlayConfig) -> str:
@@ -160,10 +156,9 @@ def _chaos_run(args, network, config: OverlayConfig) -> str:
     return "\n".join(lines)
 
 
-def _degradation_curve(args, network, config: OverlayConfig) -> str:
-    fractions = [
-        float(x) for x in args.mask_fractions.split(",") if x.strip()
-    ]
+def _degradation_curve(
+    fractions: tuple[float, ...], network, config: OverlayConfig, seed: int
+) -> str:
     healthy_cycles = sum(
         s.cycles for s in schedule_network(network, config)
     )
@@ -174,7 +169,7 @@ def _degradation_curve(args, network, config: OverlayConfig) -> str:
         f"{'throughput':>11s} {'eff delta':>10s}",
     ]
     for fraction in fractions:
-        mask = random_tpe_mask(config, fraction, seed=args.seed)
+        mask = random_tpe_mask(config, fraction, seed=seed)
         result = degraded_compile(
             network, config, mask, healthy_cycles=healthy_cycles
         )
@@ -189,33 +184,29 @@ def _degradation_curve(args, network, config: OverlayConfig) -> str:
     return "\n".join(lines)
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        if args.grid:
-            try:
-                d1, d2, d3 = (int(x) for x in args.grid.split(","))
-            except ValueError:
-                print(f"error: --grid expects three integers D1,D2,D3, "
-                      f"got {args.grid!r}", file=sys.stderr)
-                return 1
-            config = OverlayConfig(d1=d1, d2=d2, d3=d3)
-        else:
-            config = PAPER_EXAMPLE_CONFIG
-        network = _build_network(args.model)
-        print(f"chaos run — {network.name} on {args.replicas} replica(s), "
-              f"grid {config.d1}x{config.d2}x{config.d3} @ "
-              f"{config.clk_h_mhz:.0f} MHz; {args.rate:g} req/s poisson, "
-              f"seed {args.seed}")
+def _run(args: argparse.Namespace) -> int:
+    config = grid_config(args.grid)
+    fractions = parse_floats(args.mask_fractions, "--mask-fractions")
+    for fraction in fractions:
+        if not 0.0 <= fraction < 1.0:
+            raise FTDLError(
+                f"--mask-fractions entries must be in [0, 1), got {fraction}"
+            )
+    network = build_network(args.model)
+    print(f"chaos run — {network.name} on {args.replicas} replica(s), "
+          f"grid {config.d1}x{config.d2}x{config.d3} @ "
+          f"{config.clk_h_mhz:.0f} MHz; {args.rate:g} req/s poisson, "
+          f"seed {args.seed}")
+    print()
+    print(_chaos_run(args, network, config))
+    if fractions:
         print()
-        print(_chaos_run(args, network, config))
-        if args.mask_fractions.strip():
-            print()
-            print(_degradation_curve(args, network, config))
-    except FTDLError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+        print(_degradation_curve(fractions, network, config, args.seed))
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    return run_cli(build_parser(), _run, argv)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.errors import FTDLError
+from repro.tools import run_cli
 from repro.workloads.layers import HOST_KINDS
 from repro.workloads.mlperf import MLPERF_MODELS, build_model, table1_rows
 
@@ -28,40 +28,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        if args.model:
-            net = build_model(args.model)
-            breakdown = net.op_breakdown()
-            print(f"{net.name} ({net.application}): "
-                  f"{len(net.layers)} layers, "
-                  f"{net.weight_bytes / 1e6:.2f} MB weights, "
-                  f"{breakdown.total_ops / 1e9:.3f} Gops/inference")
-            print(f"  CONV {breakdown.conv_fraction:.2%} | "
-                  f"MM {breakdown.mm_fraction:.2%} | "
-                  f"EWOP {breakdown.ewop_fraction:.2%}")
-            if args.layers:
-                for layer in net.layers:
-                    if layer.kind in HOST_KINDS:
-                        mnemonic = getattr(layer, "op", layer.kind.value)
-                        print(f"  {layer.name:26s} "
-                              f"{layer.kind.value.upper():8s} {mnemonic:14s} "
-                              f"{layer.ops:>12,d} ops")
-                    else:
-                        print(f"  {layer.name:26s} {layer.kind.value.upper():4s} "
-                              f"{layer.loop_sizes}  {layer.ops:>12,d} ops")
-        else:
-            print(f"{'Model':22s} {'Application':20s} "
-                  f"{'CONV%':>7s} {'MM%':>7s} {'EWOP%':>7s} {'Weights':>9s}")
-            for row in table1_rows():
-                print(f"{row.model:22s} {row.application:20s} "
-                      f"{row.conv_pct:7.2f} {row.mm_pct:7.2f} "
-                      f"{row.ewop_pct:7.2f} {row.format_weights():>9s}")
-    except FTDLError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+def _run(args: argparse.Namespace) -> int:
+    if args.model:
+        net = build_model(args.model)
+        breakdown = net.op_breakdown()
+        print(f"{net.name} ({net.application}): "
+              f"{len(net.layers)} layers, "
+              f"{net.weight_bytes / 1e6:.2f} MB weights, "
+              f"{breakdown.total_ops / 1e9:.3f} Gops/inference")
+        print(f"  CONV {breakdown.conv_fraction:.2%} | "
+              f"MM {breakdown.mm_fraction:.2%} | "
+              f"EWOP {breakdown.ewop_fraction:.2%}")
+        if args.layers:
+            for layer in net.layers:
+                if layer.kind in HOST_KINDS:
+                    mnemonic = getattr(layer, "op", layer.kind.value)
+                    print(f"  {layer.name:26s} "
+                          f"{layer.kind.value.upper():8s} {mnemonic:14s} "
+                          f"{layer.ops:>12,d} ops")
+                else:
+                    print(f"  {layer.name:26s} {layer.kind.value.upper():4s} "
+                          f"{layer.loop_sizes}  {layer.ops:>12,d} ops")
+    else:
+        print(f"{'Model':22s} {'Application':20s} "
+              f"{'CONV%':>7s} {'MM%':>7s} {'EWOP%':>7s} {'Weights':>9s}")
+        for row in table1_rows():
+            print(f"{row.model:22s} {row.application:20s} "
+                  f"{row.conv_pct:7.2f} {row.mm_pct:7.2f} "
+                  f"{row.ewop_pct:7.2f} {row.format_weights():>9s}")
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    return run_cli(build_parser(), _run, argv)
 
 
 if __name__ == "__main__":

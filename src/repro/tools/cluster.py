@@ -25,6 +25,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from repro.compiler.cache import ScheduleCache
@@ -38,7 +39,7 @@ from repro.cluster import (
 )
 from repro.errors import FTDLError
 from repro.faults import FaultSchedule, generate_fault_schedule
-from repro.overlay.config import OverlayConfig, PAPER_EXAMPLE_CONFIG
+from repro.overlay.config import OverlayConfig
 from repro.serving import (
     AdmissionPolicy,
     BatchPolicy,
@@ -47,8 +48,7 @@ from repro.serving import (
     make_requests,
     poisson_arrivals,
 )
-from repro.workloads.mlperf import MLPERF_MODELS, build_model
-from repro.workloads.models import build_smallcnn
+from repro.tools import MODEL_CHOICES, build_network, grid_config, run_cli
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,10 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro.tools.cluster", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument(
-        "--model", default="SmallCNN",
-        choices=[*MLPERF_MODELS, "SmallCNN"],
-    )
+    parser.add_argument("--model", default="SmallCNN", choices=MODEL_CHOICES)
     parser.add_argument(
         "--grid", default=None, metavar="D1,D2,D3",
         help="overlay grid (default: the paper's 12,5,20)",
@@ -126,17 +123,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_network(name: str):
-    if name == "SmallCNN":
-        return build_smallcnn()
-    return build_model(name)
-
-
 def parse_tenants(spec: str) -> dict[str, float]:
-    """Parse ``NAME:WEIGHT,...`` into a weight mapping.
+    """Parse ``--tenants NAME:WEIGHT,...`` into a weight mapping; a
+    missing weight is 1.
 
     Raises:
-        ValueError: for a malformed entry.
+        FTDLError: naming ``--tenants`` for an entry with no name or a
+            weight that is not a positive number.
     """
     weights: dict[str, float] = {}
     for entry in spec.split(","):
@@ -144,9 +137,16 @@ def parse_tenants(spec: str) -> dict[str, float]:
         if not entry:
             continue
         name, _, weight = entry.partition(":")
-        if not name:
-            raise ValueError(f"tenant entry {entry!r} has no name")
-        weights[name] = float(weight) if weight else 1.0
+        try:
+            value = float(weight) if weight else 1.0
+        except ValueError:
+            value = math.nan
+        if not name or not 0.0 < value < math.inf:
+            raise FTDLError(
+                f"--tenants expects NAME:WEIGHT entries with a positive "
+                f"weight, got {entry!r}"
+            )
+        weights[name] = value
     return weights
 
 
@@ -166,7 +166,9 @@ def assign_tenants(requests, weights: dict[str, float]) -> None:
         passes[tenant] += 1.0 / weights[tenant]
 
 
-def _campaign(args, network, config: OverlayConfig) -> str:
+def _campaign(
+    args, network, config: OverlayConfig, weights: dict[str, float]
+) -> str:
     topology = build_fleet(args.racks, args.boards_per_rack)
     store = None
     if args.cache_dir:
@@ -182,7 +184,6 @@ def _campaign(args, network, config: OverlayConfig) -> str:
         and args.deadline_ms > 0 else None
     )
     requests = make_requests(times, network.name, deadline_s=deadline_s)
-    weights = parse_tenants(args.tenants)
     assign_tenants(requests, weights)
     duration = times[-1] - times[0]
 
@@ -261,36 +262,24 @@ def _campaign(args, network, config: OverlayConfig) -> str:
     return "\n".join(lines)
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        if args.grid:
-            try:
-                d1, d2, d3 = (int(x) for x in args.grid.split(","))
-            except ValueError:
-                print(f"error: --grid expects three integers D1,D2,D3, "
-                      f"got {args.grid!r}", file=sys.stderr)
-                return 1
-            config = OverlayConfig(d1=d1, d2=d2, d3=d3)
-        else:
-            config = PAPER_EXAMPLE_CONFIG
-        network = _build_network(args.model)
-        print(
-            f"cluster campaign — {network.name} on "
-            f"{args.racks}x{args.boards_per_rack} boards, grid "
-            f"{config.d1}x{config.d2}x{config.d3} @ "
-            f"{config.clk_h_mhz:.0f} MHz; {args.rate:g} req/s poisson, "
-            f"seed {args.seed}"
-        )
-        print()
-        print(_campaign(args, network, config))
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    except FTDLError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+def _run(args: argparse.Namespace) -> int:
+    config = grid_config(args.grid)
+    weights = parse_tenants(args.tenants)
+    network = build_network(args.model)
+    print(
+        f"cluster campaign — {network.name} on "
+        f"{args.racks}x{args.boards_per_rack} boards, grid "
+        f"{config.d1}x{config.d2}x{config.d3} @ "
+        f"{config.clk_h_mhz:.0f} MHz; {args.rate:g} req/s poisson, "
+        f"seed {args.seed}"
+    )
+    print()
+    print(_campaign(args, network, config, weights))
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    return run_cli(build_parser(), _run, argv)
 
 
 if __name__ == "__main__":

@@ -21,18 +21,10 @@ import sys
 from repro.compiler.cache import ScheduleCache
 from repro.compiler.codegen import compile_schedule
 from repro.compiler.search import schedule_layer
-from repro.errors import FTDLError
 from repro.overlay.config import OverlayConfig
-from repro.tools import parse_dims
+from repro.tools import parse_dims, run_cli
 from repro.workloads.layers import ConvLayer, MatMulLayer
 from repro.workloads.mlperf import build_model
-
-
-def _parse_grid(text: str) -> tuple[int, int, int]:
-    parts = [int(p) for p in text.split(",")]
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("grid must be D1,D2,D3")
-    return tuple(parts)  # type: ignore[return-value]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--stride", type=int, default=1)
     parser.add_argument("--padding", type=int, default=0)
-    parser.add_argument("--grid", type=_parse_grid, default=(12, 5, 20),
+    parser.add_argument("--grid", default="12,5,20",
                         help="overlay D1,D2,D3 (default: the paper's)")
     parser.add_argument("--clk", type=float, default=650.0,
                         help="CLK_h in MHz")
@@ -72,48 +64,47 @@ def _layer_from_args(args: argparse.Namespace):
     return MatMulLayer("cli_mm", in_features=m, out_features=n, batch=p)
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    d1, d2, d3 = args.grid
-    try:
-        config = OverlayConfig(d1=d1, d2=d2, d3=d3, clk_h_mhz=args.clk)
-        print(f"overlay {d1}x{d2}x{d3} @ {args.clk:.0f} MHz "
-              f"({config.n_tpe} TPEs, peak {config.peak_gops:.0f} GOPS)")
-        if args.model:
-            net = build_model(args.model)
-            cache = ScheduleCache(config, objective=args.objective)
-            total = 0
-            print(f"{'layer':24s} {'cycles':>11s} {'eff':>7s} {'bound':>8s} "
-                  f"{'E_WBUF':>7s}")
-            for layer in net.accelerated_layers():
-                schedule = cache.schedule(layer)
-                total += schedule.cycles
-                est = schedule.estimate
-                print(f"{layer.name:24s} {schedule.cycles:11,d} "
-                      f"{est.hardware_efficiency:7.1%} {est.bottleneck:>8s} "
-                      f"{est.e_wbuf:7.2f}")
-            fps = args.clk * 1e6 / total
-            eff = net.accelerated_maccs / (config.n_tpe * total)
-            print(f"{'TOTAL':24s} {total:11,d}  -> {fps:.1f} FPS, "
-                  f"network eff {eff:.1%}")
-        else:
-            layer = _layer_from_args(args)
-            schedule = schedule_layer(layer, config, objective=args.objective)
-            print(schedule.describe())
+def _run(args: argparse.Namespace) -> int:
+    d1, d2, d3 = parse_dims(args.grid, "--grid", "D1,D2,D3")
+    config = OverlayConfig(d1=d1, d2=d2, d3=d3, clk_h_mhz=args.clk)
+    layer = None if args.model else _layer_from_args(args)
+    print(f"overlay {d1}x{d2}x{d3} @ {args.clk:.0f} MHz "
+          f"({config.n_tpe} TPEs, peak {config.peak_gops:.0f} GOPS)")
+    if args.model:
+        net = build_model(args.model)
+        cache = ScheduleCache(config, objective=args.objective)
+        total = 0
+        print(f"{'layer':24s} {'cycles':>11s} {'eff':>7s} {'bound':>8s} "
+              f"{'E_WBUF':>7s}")
+        for layer in net.accelerated_layers():
+            schedule = cache.schedule(layer)
+            total += schedule.cycles
             est = schedule.estimate
-            print(f"C_comp={est.c_comp:,} C_actbus={est.c_actbus:,} "
-                  f"C_psumbus={est.c_psumbus:,} C_dram_rd={est.c_dram_rd:,} "
-                  f"C_dram_wr={est.c_dram_wr:,}")
-            if args.dump_isa:
-                compiled = compile_schedule(schedule)
-                stream = compiled.encoded()[0]
-                print(f"row-0 InstBUS stream ({len(stream)} bytes):")
-                for i in range(0, len(stream), 16):
-                    print("  " + stream[i:i + 16].hex())
-    except FTDLError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+            print(f"{layer.name:24s} {schedule.cycles:11,d} "
+                  f"{est.hardware_efficiency:7.1%} {est.bottleneck:>8s} "
+                  f"{est.e_wbuf:7.2f}")
+        fps = args.clk * 1e6 / total
+        eff = net.accelerated_maccs / (config.n_tpe * total)
+        print(f"{'TOTAL':24s} {total:11,d}  -> {fps:.1f} FPS, "
+              f"network eff {eff:.1%}")
+    else:
+        schedule = schedule_layer(layer, config, objective=args.objective)
+        print(schedule.describe())
+        est = schedule.estimate
+        print(f"C_comp={est.c_comp:,} C_actbus={est.c_actbus:,} "
+              f"C_psumbus={est.c_psumbus:,} C_dram_rd={est.c_dram_rd:,} "
+              f"C_dram_wr={est.c_dram_wr:,}")
+        if args.dump_isa:
+            compiled = compile_schedule(schedule)
+            stream = compiled.encoded()[0]
+            print(f"row-0 InstBUS stream ({len(stream)} bytes):")
+            for i in range(0, len(stream), 16):
+                print("  " + stream[i:i + 16].hex())
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    return run_cli(build_parser(), _run, argv)
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ from repro.conformance import (
     run_workload_conformance,
 )
 from repro.errors import FTDLError
-from repro.overlay.config import OverlayConfig
+from repro.tools import grid_config, run_cli
 from repro.workloads import WORKLOADS, registered_workloads
 
 #: The workloads ``--budget`` mode runs: the small transformer-suite
@@ -100,23 +100,15 @@ def _select_specs(args: argparse.Namespace) -> list:
     return specs
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        specs = _select_specs(args)
-        config = CONFORMANCE_CONFIG
-        if args.grid:
-            d1, d2, d3 = (int(v) for v in args.grid.split(","))
-            config = OverlayConfig(d1=d1, d2=d2, d3=d3)
-        overrides = {}
-        if args.spatial_beam is not None:
-            overrides["spatial_beam"] = args.spatial_beam
-        if args.temporal_beam is not None:
-            overrides["temporal_beam"] = args.temporal_beam
-        budget = replace(ConformanceBudget(), **overrides)
-    except (FTDLError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+def _run(args: argparse.Namespace) -> int:
+    config = grid_config(args.grid, default=CONFORMANCE_CONFIG)
+    specs = _select_specs(args)
+    overrides = {}
+    if args.spatial_beam is not None:
+        overrides["spatial_beam"] = args.spatial_beam
+    if args.temporal_beam is not None:
+        overrides["temporal_beam"] = args.temporal_beam
+    budget = replace(ConformanceBudget(), **overrides)
 
     print("workload conformance: search -> sim-vs-golden -> serve -> "
           "faults -> abft -> host -> precision")
@@ -133,6 +125,10 @@ def main(argv: list[str] | None = None) -> int:
     n_ok = sum(r.ok for r in reports)
     print(f"{n_ok}/{len(reports)} workloads conformant")
     return 0 if n_ok == len(reports) else 1
+
+
+def main(argv: list[str] | None = None) -> int:
+    return run_cli(build_parser(), _run, argv)
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ from repro.fpga.devices import get_device
 from repro.fpga.placement import place_overlay, place_systolic
 from repro.fpga.timing import TimingModel
 from repro.overlay.config import PAPER_EXAMPLE_CONFIG
+from repro.tools import run_cli
 from repro.workloads.mlperf import build_model, table1_rows
 
 FIG6_SWEEPS = {
@@ -139,18 +140,21 @@ def generate_report(full: bool = False) -> str:
     return "\n".join(lines)
 
 
+def _run(args: argparse.Namespace) -> int:
+    text = generate_report(full=args.full)
+    with open(args.out, "w") as handle:
+        handle.write(text)
+    print(f"wrote {args.out} ({len(text.splitlines())} lines)")
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="repro.tools.report",
                                      description=__doc__)
     parser.add_argument("--out", default="ftdl_report.md")
     parser.add_argument("--full", action="store_true",
                         help="include the whole-network Table II")
-    args = parser.parse_args(argv)
-    text = generate_report(full=args.full)
-    with open(args.out, "w") as handle:
-        handle.write(text)
-    print(f"wrote {args.out} ({len(text.splitlines())} lines)")
-    return 0
+    return run_cli(parser, _run, argv)
 
 
 if __name__ == "__main__":

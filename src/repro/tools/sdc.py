@@ -38,7 +38,7 @@ from repro.integrity import (
     abft_layer_output,
     run_sdc_campaign,
 )
-from repro.overlay.config import OverlayConfig, PAPER_EXAMPLE_CONFIG
+from repro.overlay.config import OverlayConfig
 from repro.serving import (
     AdmissionPolicy,
     BatchPolicy,
@@ -50,6 +50,7 @@ from repro.serving import (
     poisson_arrivals,
 )
 from repro.sim.functional import random_layer_operands
+from repro.tools import grid_config, run_cli
 from repro.workloads.layers import ConvLayer, MatMulLayer
 from repro.workloads.models import build_smallcnn
 
@@ -165,18 +166,7 @@ def _campaigns(layers, policies, trials: int, seed: int) -> str:
     return "\n\n".join(blocks)
 
 
-def _parse_grid(text: str, flag: str) -> OverlayConfig:
-    try:
-        d1, d2, d3 = (int(x) for x in text.split(","))
-    except ValueError:
-        raise FTDLError(
-            f"{flag} expects three integers D1,D2,D3, got {text!r}"
-        ) from None
-    return OverlayConfig(d1=d1, d2=d2, d3=d3)
-
-
-def _serving_run(args, policies) -> str:
-    config = _parse_grid(args.serving_grid, "--serving-grid")
+def _serving_run(args, policies, config: OverlayConfig) -> str:
     network = build_smallcnn()
     service = ReplicaService(
         BatchServiceModel(network, config), n_replicas=args.replicas
@@ -250,35 +240,32 @@ def _serving_run(args, policies) -> str:
     return "\n".join(lines)
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        config = (
-            _parse_grid(args.grid, "--grid") if args.grid
-            else PAPER_EXAMPLE_CONFIG
-        )
-        policies = [
-            IntegrityPolicy.parse(text)
-            for text in args.policies.split(",") if text.strip()
-        ]
-        if not policies:
-            raise FTDLError("no integrity policies selected")
-        if args.trials < 1:
-            raise FTDLError(f"--trials must be >= 1, got {args.trials}")
-        layers = _campaign_layers()
-        print(f"SDC campaign — grid {config.d1}x{config.d2}x{config.d3}, "
-              f"seed {args.seed}, "
-              f"policies {','.join(p.value for p in policies)}")
-        print()
-        print(_overhead_table(layers, config, args.seed))
-        print()
-        print(_campaigns(layers, policies, args.trials, args.seed))
-        print()
-        print(_serving_run(args, policies))
-    except FTDLError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+def _run(args: argparse.Namespace) -> int:
+    config = grid_config(args.grid)
+    serving_config = grid_config(args.serving_grid, "--serving-grid")
+    policies = [
+        IntegrityPolicy.parse(text)
+        for text in args.policies.split(",") if text.strip()
+    ]
+    if not policies:
+        raise FTDLError("no integrity policies selected")
+    if args.trials < 1:
+        raise FTDLError(f"--trials must be >= 1, got {args.trials}")
+    layers = _campaign_layers()
+    print(f"SDC campaign — grid {config.d1}x{config.d2}x{config.d3}, "
+          f"seed {args.seed}, "
+          f"policies {','.join(p.value for p in policies)}")
+    print()
+    print(_overhead_table(layers, config, args.seed))
+    print()
+    print(_campaigns(layers, policies, args.trials, args.seed))
+    print()
+    print(_serving_run(args, policies, serving_config))
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    return run_cli(build_parser(), _run, argv)
 
 
 if __name__ == "__main__":

@@ -21,8 +21,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.errors import FTDLError
-from repro.overlay.config import OverlayConfig, PAPER_EXAMPLE_CONFIG
 from repro.serving import (
     AdmissionPolicy,
     BatchPolicy,
@@ -34,8 +32,7 @@ from repro.serving import (
     poisson_arrivals,
     uniform_arrivals,
 )
-from repro.workloads.mlperf import MLPERF_MODELS, build_model
-from repro.workloads.models import build_smallcnn
+from repro.tools import MODEL_CHOICES, build_network, grid_config, run_cli
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,10 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro.tools.serve", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument(
-        "--model", default="SmallCNN",
-        choices=[*MLPERF_MODELS, "SmallCNN"],
-    )
+    parser.add_argument("--model", default="SmallCNN", choices=MODEL_CHOICES)
     parser.add_argument(
         "--grid", default=None, metavar="D1,D2,D3",
         help="overlay grid (default: the paper's 12,5,20)",
@@ -81,82 +75,64 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_network(name: str):
-    if name == "SmallCNN":
-        return build_smallcnn()
-    return build_model(name)
+def _run(args: argparse.Namespace) -> int:
+    config = grid_config(args.grid)
+    network = build_network(args.model)
+
+    store = None
+    if args.cache_dir:
+        from repro.compiler.persist import PersistentScheduleStore
+        store = PersistentScheduleStore(args.cache_dir)
+
+    cache = None
+    if args.pipeline_devices > 0:
+        service = PipelineService(
+            network, config,
+            n_devices=args.pipeline_devices,
+            n_replicas=args.replicas,
+            store=store,
+        )
+        shape = (f"{args.replicas} x {service.n_devices}-device "
+                 f"pipeline")
+    else:
+        from repro.compiler.cache import ScheduleCache
+        cache = ScheduleCache(config, max_entries=args.cache_entries,
+                              store=store)
+        service = ReplicaService(
+            BatchServiceModel(network, config, cache=cache),
+            n_replicas=args.replicas,
+        )
+        shape = f"{args.replicas} overlay replica(s)"
+
+    if args.arrival == "poisson":
+        times = poisson_arrivals(args.rate, args.requests,
+                                 seed=args.seed)
+    else:
+        times = uniform_arrivals(args.rate, args.requests)
+    requests = make_requests(times, network.name)
+
+    engine = ServingEngine(
+        service,
+        batch_policy=BatchPolicy(
+            max_batch=args.max_batch,
+            max_wait_s=args.max_wait_ms * 1e-3,
+        ),
+        admission_policy=AdmissionPolicy(capacity=args.queue_capacity),
+        slo_s=args.slo_ms * 1e-3,
+    )
+    print(f"{network.name} on {shape}, grid "
+          f"{config.d1}x{config.d2}x{config.d3} @ "
+          f"{config.clk_h_mhz:.0f} MHz; {args.arrival} traffic at "
+          f"{args.rate:g} req/s (seed {args.seed})")
+    report = engine.run(requests)
+    print(report.describe())
+    if cache is not None:
+        print(f"  compile cache  : {cache.describe()}")
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        if args.grid:
-            try:
-                d1, d2, d3 = (int(x) for x in args.grid.split(","))
-            except ValueError:
-                print(f"error: --grid expects three integers D1,D2,D3, "
-                      f"got {args.grid!r}", file=sys.stderr)
-                return 1
-            config = OverlayConfig(d1=d1, d2=d2, d3=d3)
-        else:
-            config = PAPER_EXAMPLE_CONFIG
-        network = _build_network(args.model)
-
-        store = None
-        if args.cache_dir:
-            from repro.compiler.persist import PersistentScheduleStore
-            store = PersistentScheduleStore(args.cache_dir)
-
-        cache = None
-        if args.pipeline_devices > 0:
-            service = PipelineService(
-                network, config,
-                n_devices=args.pipeline_devices,
-                n_replicas=args.replicas,
-                store=store,
-            )
-            shape = (f"{args.replicas} x {service.n_devices}-device "
-                     f"pipeline")
-        else:
-            from repro.compiler.cache import ScheduleCache
-            cache = ScheduleCache(config, max_entries=args.cache_entries,
-                                  store=store)
-            service = ReplicaService(
-                BatchServiceModel(network, config, cache=cache),
-                n_replicas=args.replicas,
-            )
-            shape = f"{args.replicas} overlay replica(s)"
-
-        if args.arrival == "poisson":
-            times = poisson_arrivals(args.rate, args.requests,
-                                     seed=args.seed)
-        else:
-            times = uniform_arrivals(args.rate, args.requests)
-        requests = make_requests(times, network.name)
-
-        engine = ServingEngine(
-            service,
-            batch_policy=BatchPolicy(
-                max_batch=args.max_batch,
-                max_wait_s=args.max_wait_ms * 1e-3,
-            ),
-            admission_policy=AdmissionPolicy(capacity=args.queue_capacity),
-            slo_s=args.slo_ms * 1e-3,
-        )
-        print(f"{network.name} on {shape}, grid "
-              f"{config.d1}x{config.d2}x{config.d3} @ "
-              f"{config.clk_h_mhz:.0f} MHz; {args.arrival} traffic at "
-              f"{args.rate:g} req/s (seed {args.seed})")
-        report = engine.run(requests)
-    except FTDLError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    print(report.describe())
-    if cache is not None:
-        # Richer than the report's stats line: includes the temporal
-        # memo and persistent-store behavior behind the hit rate.
-        print(f"  compile cache  : {cache.describe()}")
-    return 0
+    return run_cli(build_parser(), _run, argv)
 
 
 if __name__ == "__main__":

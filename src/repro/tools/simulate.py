@@ -22,11 +22,10 @@ import numpy as np
 
 from repro.compiler.codegen import compile_schedule
 from repro.compiler.search import schedule_layer
-from repro.errors import FTDLError
 from repro.overlay.config import OverlayConfig
 from repro.sim.cycle import CycleSimulator
 from repro.sim.functional import random_layer_operands
-from repro.tools import parse_dims
+from repro.tools import parse_dims, run_cli
 from repro.workloads.layers import ConvLayer, MatMulLayer
 
 
@@ -49,39 +48,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        d1, d2, d3 = parse_dims(args.grid, "--grid", "D1,D2,D3")
-        config = OverlayConfig(
-            d1=d1, d2=d2, d3=d3,
-            s_actbuf_words=args.actbuf,
-            s_wbuf_words=args.wbuf,
-            s_psumbuf_words=args.psumbuf,
+def _run(args: argparse.Namespace) -> int:
+    d1, d2, d3 = parse_dims(args.grid, "--grid", "D1,D2,D3")
+    config = OverlayConfig(
+        d1=d1, d2=d2, d3=d3,
+        s_actbuf_words=args.actbuf,
+        s_wbuf_words=args.wbuf,
+        s_psumbuf_words=args.psumbuf,
+    )
+    if args.conv:
+        m, n, h, w, r, s = parse_dims(args.conv, "--conv", "M,N,H,W,R,S")
+        layer = ConvLayer(
+            "sim_conv", n, m, in_h=h, in_w=w, kernel_h=r, kernel_w=s,
+            stride=args.stride, padding=args.padding, groups=args.groups,
         )
-        if args.conv:
-            m, n, h, w, r, s = parse_dims(args.conv, "--conv",
-                                          "M,N,H,W,R,S")
-            layer = ConvLayer(
-                "sim_conv", n, m, in_h=h, in_w=w, kernel_h=r, kernel_w=s,
-                stride=args.stride, padding=args.padding, groups=args.groups,
-            )
-        else:
-            n, m, p = parse_dims(args.mm, "--mm", "N,M,P")
-            layer = MatMulLayer("sim_mm", in_features=m, out_features=n,
-                                batch=p)
+    else:
+        n, m, p = parse_dims(args.mm, "--mm", "N,M,P")
+        layer = MatMulLayer("sim_mm", in_features=m, out_features=n, batch=p)
 
-        schedule = schedule_layer(layer, config)
-        compiled = compile_schedule(schedule)
-        weights, acts = random_layer_operands(
-            layer, np.random.default_rng(args.seed)
-        )
-        run = CycleSimulator(config).run_layer(
-            compiled, weights, acts, check_golden=True
-        )
-    except FTDLError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+    schedule = schedule_layer(layer, config)
+    compiled = compile_schedule(schedule)
+    weights, acts = random_layer_operands(
+        layer, np.random.default_rng(args.seed)
+    )
+    run = CycleSimulator(config).run_layer(
+        compiled, weights, acts, check_golden=True
+    )
 
     est = schedule.estimate
     print(f"schedule : {schedule.mapping.describe()}")
@@ -96,6 +88,10 @@ def main(argv: list[str] | None = None) -> int:
     busiest = sorted(run.bus_busy.items(), key=lambda kv: -kv[1])[:4]
     print("buses    : " + ", ".join(f"{k}={v}" for k, v in busiest))
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    return run_cli(build_parser(), _run, argv)
 
 
 if __name__ == "__main__":

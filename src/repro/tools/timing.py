@@ -12,11 +12,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.errors import FTDLError
 from repro.fpga.clocking import plan_double_pump
 from repro.fpga.devices import get_device, list_devices
 from repro.fpga.placement import place_overlay, place_systolic
 from repro.fpga.timing import TimingModel
+from repro.tools import parse_dims, run_cli
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -34,22 +34,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        device = get_device(args.device)
-        if args.grid:
-            d1, d2, d3 = (int(x) for x in args.grid.split(","))
-            placement = place_overlay(device, d1, d2, d3)
-            double_pump = True
-        else:
-            rows, cols = (int(x) for x in args.systolic.split(","))
-            placement = place_systolic(device, rows, cols)
-            double_pump = False
-        report = TimingModel(device).report(placement, double_pump=double_pump)
-    except FTDLError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+def _run(args: argparse.Namespace) -> int:
+    double_pump = args.systolic is None
+    if double_pump:
+        dims = parse_dims(args.grid, "--grid", "D1,D2,D3")
+    else:
+        dims = parse_dims(args.systolic, "--systolic", "ROWS,COLS")
+    device = get_device(args.device)
+    place = place_overlay if double_pump else place_systolic
+    placement = place(device, *dims)
+    report = TimingModel(device).report(placement, double_pump=double_pump)
 
     print(f"device   : {device.name} ({device.family}), "
           f"{device.n_dsp_total} DSPs / {device.n_bram18_total} BRAM18")
@@ -73,6 +67,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {path.net.name:22s} {path.delay_ns:7.3f} ns  "
                   f"-> CLK_h <= {path.clk_h_limit_mhz:6.0f} MHz")
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    return run_cli(build_parser(), _run, argv)
 
 
 if __name__ == "__main__":

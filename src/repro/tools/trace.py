@@ -28,9 +28,8 @@ import sys
 from pathlib import Path
 
 from repro.compiler.cache import ScheduleCache
-from repro.errors import FTDLError
 from repro.faults import generate_fault_schedule
-from repro.overlay.config import OverlayConfig, PAPER_EXAMPLE_CONFIG
+from repro.overlay.config import OverlayConfig
 from repro.serving import (
     BatchPolicy,
     BatchServiceModel,
@@ -47,8 +46,7 @@ from repro.trace import (
     chrome_trace_json,
     prometheus_text,
 )
-from repro.workloads.mlperf import MLPERF_MODELS, build_model
-from repro.workloads.models import build_smallcnn
+from repro.tools import MODEL_CHOICES, build_network, grid_config, run_cli
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,10 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro.tools.trace", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument(
-        "--model", default="SmallCNN",
-        choices=[*MLPERF_MODELS, "SmallCNN"],
-    )
+    parser.add_argument("--model", default="SmallCNN", choices=MODEL_CHOICES)
     parser.add_argument(
         "--grid", default=None, metavar="D1,D2,D3",
         help="overlay grid (default: the paper's 12,5,20)",
@@ -90,12 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     out.add_argument("--prom-out", default=None, metavar="PATH",
                      help="write the Prometheus text exposition here")
     return parser
-
-
-def _build_network(name: str):
-    if name == "SmallCNN":
-        return build_smallcnn()
-    return build_model(name)
 
 
 def _ok(match: bool) -> str:
@@ -216,30 +205,20 @@ def _traced_run(args, network, config: OverlayConfig) -> str:
     return "\n".join(lines)
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        if args.grid:
-            try:
-                d1, d2, d3 = (int(x) for x in args.grid.split(","))
-            except ValueError:
-                print(f"error: --grid expects three integers D1,D2,D3, "
-                      f"got {args.grid!r}", file=sys.stderr)
-                return 1
-            config = OverlayConfig(d1=d1, d2=d2, d3=d3)
-        else:
-            config = PAPER_EXAMPLE_CONFIG
-        network = _build_network(args.model)
-        print(f"trace run — {network.name} on {args.replicas} replica(s), "
-              f"grid {config.d1}x{config.d2}x{config.d3} @ "
-              f"{config.clk_h_mhz:.0f} MHz; {args.rate:g} req/s poisson, "
-              f"seed {args.seed}")
-        print()
-        print(_traced_run(args, network, config))
-    except FTDLError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+def _run(args: argparse.Namespace) -> int:
+    config = grid_config(args.grid)
+    network = build_network(args.model)
+    print(f"trace run — {network.name} on {args.replicas} replica(s), "
+          f"grid {config.d1}x{config.d2}x{config.d3} @ "
+          f"{config.clk_h_mhz:.0f} MHz; {args.rate:g} req/s poisson, "
+          f"seed {args.seed}")
+    print()
+    print(_traced_run(args, network, config))
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    return run_cli(build_parser(), _run, argv)
 
 
 if __name__ == "__main__":

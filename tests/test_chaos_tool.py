@@ -59,10 +59,6 @@ class TestCliSurface:
         ]) == 0
         assert "degradation curve" not in capsys.readouterr().out
 
-    def test_bad_grid_is_error(self, capsys):
-        assert main(["--grid", "banana"]) == 1
-        assert "error" in capsys.readouterr().err
-
     def test_invalid_fault_rate_is_error(self, capsys):
         assert main([
             "--grid", "3,2,2", "--requests", "10", "--crash-rate", "-1",

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.errors import FTDLError
 from repro.tools.cluster import (
     assign_tenants,
     build_parser,
@@ -74,10 +75,6 @@ class TestCliSurface:
         assert "100.0000%" in out
         assert "HOLDS" in out
 
-    def test_bad_grid_is_error(self, capsys):
-        assert main(["--grid", "banana"]) == 1
-        assert "error" in capsys.readouterr().err
-
     def test_bad_tenant_spec_is_error(self, capsys):
         assert main(self.FAST + ["--tenants", ":2"]) == 1
         assert "error" in capsys.readouterr().err
@@ -109,7 +106,7 @@ class TestTenantHelpers:
         assert parse_tenants("a:1, b:3 ,") == {"a": 1.0, "b": 3.0}
 
     def test_parse_tenants_rejects_nameless(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(FTDLError):
             parse_tenants(":2")
 
     def test_assign_tenants_is_weight_proportional(self):

@@ -49,10 +49,6 @@ class TestCliSurface:
         assert "policy detect " in out
         assert "detect-reexecute" not in out
 
-    def test_bad_grid_is_error(self, capsys):
-        assert main(["--grid", "banana"]) == 1
-        assert "error" in capsys.readouterr().err
-
     def test_unknown_policy_is_error(self, capsys):
         assert main(["--policies", "paranoid"]) == 1
         assert "paranoid" in capsys.readouterr().err

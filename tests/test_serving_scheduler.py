@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster.router import ClusterRouter
+from repro.compiler import cache as cache_module
 from repro.cluster.topology import build_fleet
 from repro.errors import FTDLError, ServingError
 from repro.serving.batcher import Batch, BatchServiceModel
@@ -72,6 +73,27 @@ class TestPipelineService:
         svc.latency_s(1)
         stats = svc.cache_stats()
         assert stats.misses >= svc.n_devices  # every stage compiled
+
+    def test_degrade_slowdown_searches_each_stage_once(
+        self, tiny_config, monkeypatch
+    ):
+        """A repeated stuck-TPE mask reuses every stage's degraded model:
+        the second call runs no schedule search."""
+        svc = PipelineService(_net(), tiny_config, n_devices=2)
+        svc.latency_s(2)  # compile the healthy stages up front
+        searched = []
+
+        class CountingSearch(cache_module.ScheduleSearch):
+            def run(self):
+                searched.append(self.layer.name)
+                return super().run()
+
+        monkeypatch.setattr(cache_module, "ScheduleSearch", CountingSearch)
+        slowdown = svc.degrade_slowdown([(0, 0, 0)], 2)
+        assert slowdown >= 1.0
+        assert sorted(searched) == ["fc1", "fc2"]
+        assert svc.degrade_slowdown([(0, 0, 0)], 2) == slowdown
+        assert sorted(searched) == ["fc1", "fc2"]
 
 
 def _router(svc: ReplicaService) -> ClusterRouter:

@@ -2,7 +2,18 @@
 
 import pytest
 
-from repro.tools import characterize, compile as compile_tool, timing
+from repro.tools import (
+    chaos,
+    characterize,
+    cluster,
+    compile as compile_tool,
+    conformance,
+    sdc,
+    serve,
+    simulate,
+    timing,
+    trace,
+)
 
 
 class TestCompileTool:
@@ -32,8 +43,7 @@ class TestCompileTool:
         assert code == 0
 
     def test_bad_grid_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            compile_tool.main(["--mm", "4,4,1", "--grid", "3,2"])
+        assert compile_tool.main(["--mm", "4,4,1", "--grid", "3,2"]) == 1
 
     def test_model_and_layer_mutually_exclusive(self):
         with pytest.raises(SystemExit):
@@ -99,3 +109,44 @@ class TestCharacterizeTool:
     def test_unknown_model_rejected(self):
         with pytest.raises(SystemExit):
             characterize.main(["--model", "VGG"])
+
+
+#: A malformed or out-of-range value for every comma-list flag of every
+#: tool that has one (``characterize`` and ``report`` have none):
+#: (tool, argv, flag).
+MALFORMED_LIST_FLAGS = {
+    "compile-grid": (compile_tool, ["--mm", "4,4,1", "--grid", "3,2"],
+                     "--grid"),
+    "simulate-grid": (simulate, ["--mm", "4,4,1", "--grid", "2,x,2"],
+                      "--grid"),
+    "timing-grid": (timing, ["--grid", "3,2"], "--grid"),
+    "timing-systolic": (timing, ["--systolic", "x"], "--systolic"),
+    "serve-grid": (serve, ["--grid", "banana"], "--grid"),
+    "chaos-grid": (chaos, ["--grid", "banana"], "--grid"),
+    "chaos-mask-fractions": (
+        chaos, ["--grid", "3,2,2", "--requests", "5",
+                "--mask-fractions", "a"], "--mask-fractions"),
+    "chaos-mask-fractions-range": (
+        chaos, ["--grid", "3,2,2", "--requests", "5",
+                "--mask-fractions", "0.1,1.5"], "--mask-fractions"),
+    "trace-grid": (trace, ["--grid", "banana"], "--grid"),
+    "sdc-grid": (sdc, ["--grid", "banana"], "--grid"),
+    "sdc-serving-grid": (sdc, ["--serving-grid", "3,2"], "--serving-grid"),
+    "cluster-grid": (cluster, ["--grid", "banana"], "--grid"),
+    "cluster-tenants": (cluster, ["--tenants", "alpha:x"], "--tenants"),
+    "cluster-tenants-zero": (cluster, ["--tenants", "alpha:0"], "--tenants"),
+    "conformance-grid": (conformance, ["--budget", "--grid", "3,2"],
+                         "--grid"),
+}
+
+
+@pytest.mark.parametrize("tool, argv, flag", MALFORMED_LIST_FLAGS.values(),
+                         ids=MALFORMED_LIST_FLAGS.keys())
+def test_malformed_list_flag_is_clean_error(tool, argv, flag, capsys):
+    """A malformed list flag exits 1 with one ``error:`` line naming it,
+    before any work (nothing on stdout) and without a traceback."""
+    assert tool.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} ")
+    assert captured.err.count("\n") == 1

@@ -72,10 +72,6 @@ class TestExports:
 
 
 class TestCliSurface:
-    def test_bad_grid_is_error(self, capsys):
-        assert main(["--grid", "banana"]) == 1
-        assert "error" in capsys.readouterr().err
-
     def test_invalid_rate_is_error(self, capsys):
         assert main(["--grid", "3,2,2", "--requests", "10",
                      "--crash-rate", "-1"]) == 1
