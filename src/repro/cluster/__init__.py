@@ -22,11 +22,7 @@ from repro.cluster.events import (
 )
 from repro.cluster.report import ClusterReport, TenantStats
 from repro.cluster.router import BoardState, ClusterRouter
-from repro.cluster.service import (
-    FleetPipelineService,
-    FleetService,
-    weight_load_s,
-)
+from repro.cluster.service import FleetService, weight_load_s
 from repro.cluster.tenancy import TenantPolicy, TenantQueueSet
 from repro.cluster.topology import (
     Board,
@@ -46,7 +42,6 @@ __all__ = [
     "CorrelatedDramFault",
     "DOMAIN_EVENT_KINDS",
     "DomainFaultEvent",
-    "FleetPipelineService",
     "FleetService",
     "FleetTopology",
     "NetworkHeal",

@@ -127,8 +127,7 @@ class ClusterEngine:
 
     Args:
         service: The deployment to serve: a
-            :class:`~repro.cluster.service.FleetService` or
-            :class:`~repro.cluster.service.FleetPipelineService` (any
+            :class:`~repro.cluster.service.FleetService` (or any
             service exposing ``topology`` and ``cold_start_s`` whose
             replica names are the topology's board names), or any
             service without a ``topology`` — a

@@ -1,9 +1,9 @@
-"""Fleet-facing service models: board-named costs + cold-start time.
+"""Fleet-facing service model: board-named costs + cold-start time.
 
 A fleet serves one model from many identical boards, so the cost side
-is exactly the existing service models — :class:`BatchServiceModel`
-compiled once and shared, or a :func:`plan_deployment` pipeline per
-board — with two cluster-specific additions:
+is exactly :class:`~repro.serving.scheduler.ReplicaService` — one
+:class:`BatchServiceModel` compiled once and shared — with two
+cluster-specific additions:
 
 * replica names come from the :class:`FleetTopology` (boards, not
   ``overlay{i}``), so fault schedules and health domains address real
@@ -16,13 +16,13 @@ board — with two cluster-specific additions:
 
 from __future__ import annotations
 
+import math
+
 from repro.cluster.topology import FleetTopology
 from repro.errors import ServingError
-from repro.overlay.config import OverlayConfig
 from repro.serving.batcher import BatchServiceModel
-from repro.serving.scheduler import PipelineService, ReplicaService
+from repro.serving.scheduler import ReplicaService
 from repro.units import BYTES_PER_WORD
-from repro.workloads.network import Network
 
 
 def weight_load_s(model: BatchServiceModel) -> float:
@@ -41,7 +41,14 @@ def weight_load_s(model: BatchServiceModel) -> float:
 
 
 class FleetService(ReplicaService):
-    """N identical single-overlay boards named by the fleet topology."""
+    """N identical single-overlay boards named by the fleet topology.
+
+    ``cold_start_s`` defaults to the summed :func:`weight_load_s` of the
+    service's stages.
+
+    Raises:
+        ServingError: if ``cold_start_s`` is not finite or is negative.
+    """
 
     def __init__(
         self,
@@ -50,51 +57,12 @@ class FleetService(ReplicaService):
         cold_start_s: float | None = None,
     ):
         super().__init__(model, n_replicas=topology.n_boards)
+        self._names = tuple(topology.board_names)
         self.topology = topology
-        self.cold_start_s = (
-            cold_start_s if cold_start_s is not None
-            else weight_load_s(model)
-        )
-        if self.cold_start_s < 0:
+        if cold_start_s is None:
+            cold_start_s = sum(weight_load_s(s) for s in self._stages)
+        if not math.isfinite(cold_start_s) or cold_start_s < 0:
             raise ServingError(
-                f"cold_start_s must be >= 0, got {self.cold_start_s}"
+                f"cold_start_s must be finite and >= 0, got {cold_start_s}"
             )
-
-    def replica_names(self) -> list[str]:
-        return list(self.topology.board_names)
-
-
-class FleetPipelineService(PipelineService):
-    """One multi-FPGA pipeline per board, boards named by the topology.
-
-    The :func:`~repro.analysis.partition.plan_deployment` placement and
-    per-stage compilation are exactly the
-    :class:`PipelineService`; only the naming and the cold-start cost
-    (summed over the stages' weight footprints) are fleet-aware.
-    """
-
-    def __init__(
-        self,
-        network: Network,
-        config: OverlayConfig,
-        n_devices: int,
-        topology: FleetTopology,
-        objective: str = "balance",
-        cold_start_s: float | None = None,
-    ):
-        super().__init__(
-            network, config, n_devices,
-            n_replicas=topology.n_boards, objective=objective,
-        )
-        self.topology = topology
-        self.cold_start_s = (
-            cold_start_s if cold_start_s is not None
-            else sum(weight_load_s(stage) for stage in self._stages)
-        )
-        if self.cold_start_s < 0:
-            raise ServingError(
-                f"cold_start_s must be >= 0, got {self.cold_start_s}"
-            )
-
-    def replica_names(self) -> list[str]:
-        return list(self.topology.board_names)
+        self.cold_start_s = cold_start_s

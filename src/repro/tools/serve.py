@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.errors import ServingError
 from repro.serving import (
     AdmissionPolicy,
     BatchPolicy,
@@ -66,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--slo-ms", type=float, default=50.0,
                         help="latency objective for violation accounting")
     parser.add_argument("--cache-entries", type=int, default=None,
-                        help="bound the schedule cache (LRU eviction)")
+                        help="bound the schedule cache (LRU eviction); "
+                             "single-overlay replicas only")
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="persistent schedule store: cold starts load previously "
@@ -76,6 +78,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args: argparse.Namespace) -> int:
+    if args.pipeline_devices < 0:
+        raise ServingError(
+            f"--pipeline-devices must be >= 0, got {args.pipeline_devices}"
+        )
+    if args.pipeline_devices > 0 and args.cache_entries is not None:
+        raise ServingError(
+            "--cache-entries bounds the single-overlay schedule cache; "
+            "it cannot be combined with --pipeline-devices"
+        )
     config = grid_config(args.grid)
     network = build_network(args.model)
 
@@ -84,7 +95,6 @@ def _run(args: argparse.Namespace) -> int:
         from repro.compiler.persist import PersistentScheduleStore
         store = PersistentScheduleStore(args.cache_dir)
 
-    cache = None
     if args.pipeline_devices > 0:
         service = PipelineService(
             network, config,
@@ -126,8 +136,6 @@ def _run(args: argparse.Namespace) -> int:
           f"{args.rate:g} req/s (seed {args.seed})")
     report = engine.run(requests)
     print(report.describe())
-    if cache is not None:
-        print(f"  compile cache  : {cache.describe()}")
     return 0
 
 

@@ -46,6 +46,24 @@ class TestServeTool:
         out = capsys.readouterr().out
         assert code == 0
         assert "bound 2" in out
+        # One cache summary: the report's own ``schedule cache`` line.
+        assert out.count("(bound 2)") == 1
+
+    @pytest.mark.parametrize("flags, flag", [
+        (["--pipeline-devices", "-2"], "--pipeline-devices"),
+        (["--cache-entries", "1", "--pipeline-devices", "2"],
+         "--cache-entries"),
+    ])
+    def test_inconsistent_flags_rejected(self, capsys, flags, flag):
+        code = serve.main([
+            "--model", "SmallCNN", "--grid", "3,2,2", "--requests", "5",
+            *flags,
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error:")
+        assert flag in captured.err
+        assert captured.out == ""
 
     def test_bad_grid_reports_error(self, capsys):
         code = serve.main([

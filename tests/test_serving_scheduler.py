@@ -1,15 +1,20 @@
-"""Pipeline and replica service models, and their batch placement."""
+"""Pipeline, replica and fleet service models, and their batch placement."""
 
 import pytest
 
 from repro.cluster.router import ClusterRouter
+from repro.cluster.service import FleetService
 from repro.compiler import cache as cache_module
+from repro.compiler.cache import ScheduleCache
 from repro.cluster.topology import build_fleet
 from repro.errors import FTDLError, ServingError
+from repro.faults.mask import FaultMask, largest_healthy_subgrid
+from repro.overlay.config import OverlayConfig
 from repro.serving.batcher import Batch, BatchServiceModel
 from repro.serving.request import InferenceRequest
 from repro.serving.scheduler import PipelineService, ReplicaService
 from repro.workloads.layers import EwopLayer, MatMulLayer
+from repro.workloads.models import build_smallcnn
 from repro.workloads.network import Network
 
 
@@ -33,15 +38,91 @@ def _batch(size: int, t: float = 0.0) -> Batch:
     )
 
 
+SERVICES = {
+    "replica": lambda config: ReplicaService(
+        BatchServiceModel(_net(), config), n_replicas=2),
+    "pipeline": lambda config: PipelineService(_net(), config, n_devices=2),
+    "fleet": lambda config: FleetService(
+        BatchServiceModel(_net(), config), build_fleet(2, 2)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SERVICES))
+def test_service_contract(shape, tiny_config, monkeypatch):
+    """Every deployment shape honours the one cost contract, and a
+    repeated stuck-TPE mask reuses every stage's degraded model: the
+    second call runs no schedule search."""
+    svc = SERVICES[shape](tiny_config)
+    for batch in (1, 2, 4):
+        latency = svc.latency_s(batch)
+        assert 0 < svc.occupancy_s(batch) <= latency
+        assert sum(svc.latency_split(batch)) == pytest.approx(latency)
+    assert len(svc.replica_names()) == svc.n_replicas
+    assert len(set(svc.replica_names())) == svc.n_replicas
+
+    searched = []
+
+    class CountingSearch(cache_module.ScheduleSearch):
+        def run(self):
+            searched.append(self.layer.name)
+            return super().run()
+
+    monkeypatch.setattr(cache_module, "ScheduleSearch", CountingSearch)
+    slowdown = svc.degrade_slowdown([(0, 0, 0)], 2)
+    assert slowdown >= 1.0
+    assert sorted(searched) == ["fc1", "fc2"]
+    assert svc.degrade_slowdown([(0, 0, 0)], 2) == slowdown
+    assert sorted(searched) == ["fc1", "fc2"]
+
+
 class TestReplicaService:
     def test_occupancy_equals_latency(self, tiny_config):
         svc = ReplicaService(BatchServiceModel(_net(), tiny_config), 2)
         assert svc.occupancy_s(4) == svc.latency_s(4)
         assert svc.replica_names() == ["overlay0", "overlay1"]
 
+    def test_one_stage_is_its_model(self, tiny_config):
+        """A replica is a one-stage pipeline: its costs and cache
+        counters are its model's, bit for bit, bound included."""
+        model = BatchServiceModel(
+            _net(), tiny_config,
+            cache=ScheduleCache(tiny_config, max_entries=4),
+        )
+        svc = ReplicaService(model, 2)
+        for batch in (1, 3):
+            assert svc.latency_s(batch) == model.service_s(batch)
+            assert svc.occupancy_s(batch) == model.service_s(batch)
+            cost = model.cost(batch)
+            assert svc.latency_split(batch) == (
+                cost.compute_s, cost.transfer_s)
+        assert svc.cache_stats() == model.cache.stats()
+        assert svc.cache_stats().max_entries == 4
+
     def test_invalid_replica_count(self, tiny_config):
         with pytest.raises(ServingError):
             ReplicaService(BatchServiceModel(_net(), tiny_config), 0)
+
+    @pytest.mark.parametrize("n_replicas", [2.5, True])
+    def test_non_integer_replica_count(self, tiny_config, n_replicas):
+        """Only an integer >= 1 counts: 2.5 would otherwise fail late in
+        ``range`` and True would pass as one replica."""
+        with pytest.raises(ServingError, match="n_replicas"):
+            ReplicaService(BatchServiceModel(_net(), tiny_config),
+                           n_replicas)
+
+    def test_pipeline_invalid_replica_count(self, tiny_config):
+        with pytest.raises(ServingError):
+            PipelineService(_net(), tiny_config, n_devices=2,
+                            n_replicas=2.5)
+
+
+class TestFleetService:
+    @pytest.mark.parametrize(
+        "cold_start_s", [float("nan"), float("inf"), -1e-3])
+    def test_bad_cold_start_rejected(self, tiny_config, cold_start_s):
+        with pytest.raises(ServingError, match="cold_start_s"):
+            FleetService(BatchServiceModel(_net(), tiny_config),
+                         build_fleet(1, 2), cold_start_s=cold_start_s)
 
 
 class TestPipelineService:
@@ -74,26 +155,23 @@ class TestPipelineService:
         stats = svc.cache_stats()
         assert stats.misses >= svc.n_devices  # every stage compiled
 
-    def test_degrade_slowdown_searches_each_stage_once(
-        self, tiny_config, monkeypatch
-    ):
-        """A repeated stuck-TPE mask reuses every stage's degraded model:
-        the second call runs no schedule search."""
-        svc = PipelineService(_net(), tiny_config, n_devices=2)
-        svc.latency_s(2)  # compile the healthy stages up front
-        searched = []
-
-        class CountingSearch(cache_module.ScheduleSearch):
-            def run(self):
-                searched.append(self.layer.name)
-                return super().run()
-
-        monkeypatch.setattr(cache_module, "ScheduleSearch", CountingSearch)
-        slowdown = svc.degrade_slowdown([(0, 0, 0)], 2)
-        assert slowdown >= 1.0
-        assert sorted(searched) == ["fc1", "fc2"]
-        assert svc.degrade_slowdown([(0, 0, 0)], 2) == slowdown
-        assert sorted(searched) == ["fc1", "fc2"]
+    def test_degraded_stage_keeps_stage_objective(self):
+        """A degraded stage compiles with its healthy stage's objective
+        (``balance`` here), so the slowdown ratio compares like with
+        like."""
+        config = OverlayConfig(d1=3, d2=2, d3=2)
+        svc = PipelineService(build_smallcnn(), config, n_devices=1)
+        (stage,) = svc._stages
+        assert stage.cache.objective == "balance"
+        degraded = BatchServiceModel(
+            stage.network,
+            largest_healthy_subgrid(
+                stage.config, FaultMask.from_coords([(0, 0, 0)])),
+            objective="balance",
+        )
+        slowdown = svc.degrade_slowdown([(0, 0, 0)], 4)
+        assert slowdown == degraded.service_s(4) / stage.service_s(4)
+        assert slowdown == pytest.approx(1.52013, rel=1e-5)
 
 
 def _router(svc: ReplicaService) -> ClusterRouter:
