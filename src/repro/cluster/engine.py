@@ -29,7 +29,7 @@ Fault-tolerant execution:
   service times inflate to its largest healthy sub-grid's compiled
   schedule.  If no sub-grid remains, the board is treated as crashed.
 * **Degraded-mode admission**: while any active board is not routable
-  the admission controller's *fault pressure* waives batch formation.
+  the loop's *fault pressure* waives batch formation.
 * Requests whose deadline expires in the queue are dropped with a
   reason; if no board will ever free, stranded work is dropped as
   ``no_healthy_replica``.
@@ -53,6 +53,9 @@ On top of that the fleet adds:
   quotas on top of the global bound and batch formation is fair-share
   (stride) scheduled.  Accounting is conserved *per tenant*:
   ``offered == completed + rejected + dropped`` under any fault mix.
+  Each request is recorded once, where it ends, in the report's
+  ``completed``/``dropped``/``rejected`` tuples; the tenant ledger is
+  derived from them and checked by request id at the end of the run.
 
 A service without a ``topology`` (a plain
 :class:`~repro.serving.scheduler.ReplicaService` or
@@ -89,7 +92,7 @@ from repro.cluster.events import (
     RackPowerLoss,
     RackPowerRestore,
 )
-from repro.cluster.report import ClusterReport, TenantStats
+from repro.cluster.report import ClusterReport, tenant_ledger
 from repro.cluster.router import BoardState, ClusterRouter, Dispatch
 from repro.cluster.tenancy import TenantPolicy, TenantQueueSet
 from repro.cluster.topology import FleetTopology, build_fleet
@@ -106,7 +109,7 @@ from repro.faults.events import (
 from repro.faults.monitor import HealthMonitor
 from repro.faults.schedule import FaultSchedule
 from repro.integrity.policy import IntegrityPolicy
-from repro.serving.admission import AdmissionController, AdmissionPolicy
+from repro.serving.admission import AdmissionPolicy
 from repro.serving.batcher import BatchPolicy
 from repro.serving.metrics import ServingReport, percentile
 from repro.serving.request import (
@@ -114,6 +117,8 @@ from repro.serving.request import (
     DROP_NO_REPLICA,
     DROP_RETRY_EXHAUSTED,
     DROP_SDC,
+    REJECT_CAPACITY,
+    REJECT_QUOTA,
     InferenceRequest,
     RetryPolicy,
 )
@@ -227,7 +232,8 @@ class ClusterEngine:
         self.metrics = as_metrics(metrics)
 
     def run(self, requests: Sequence[InferenceRequest]) -> ClusterReport:
-        """Serve ``requests`` (sorted by arrival) to completion."""
+        """Serve ``requests`` (sorted by arrival) to completion; raises
+        :class:`ServingError` unless the outcomes partition their ids."""
         if not requests:
             raise ServingError("no requests to serve")
         if any(b.arrival_s < a.arrival_s
@@ -236,7 +242,7 @@ class ClusterEngine:
         model = requests[0].model
 
         queue = TenantQueueSet(self.batch_policy, self.tenant_policy)
-        admission = AdmissionController(self.admission_policy)
+        admission = self.admission_policy
         router = ClusterRouter(self.topology)
         tracer = self.tracer
         metrics = self.metrics
@@ -266,11 +272,14 @@ class ClusterEngine:
         inflight_seqs: dict[int, Dispatch] = {}
         completed: list[InferenceRequest] = []
         dropped: list[InferenceRequest] = []
+        rejected: list[InferenceRequest] = []
         fault_counts: dict[str, int] = {}
         policy = self.integrity_policy
         corrupt: dict[int, str] = {}  # in-flight seq -> corruption cause
         integrity_counts: dict[str, int] = {}
         n_retries = 0
+        degraded_dispatches = 0
+        fault_pressure = False  # some active board is not routable
         masked: dict[str, set] = {}  # board -> stuck TPE coords
         depth_integral = 0.0
         depth_max = 0
@@ -278,11 +287,6 @@ class ClusterEngine:
         t_last_complete = t_start
 
         # Fleet-specific state.
-        t_offered: dict[str, int] = {}
-        t_completed: dict[str, int] = {}
-        t_rejected: dict[str, int] = {}
-        t_quota: dict[str, int] = {}
-        t_dropped: dict[str, int] = {}
         last_failed: dict[int, str] = {}  # request_id -> failed board
         hedged_dispatches = 0
         drains = 0
@@ -300,7 +304,6 @@ class ClusterEngine:
                  at_s: float) -> None:
             request.drop_reason = reason
             dropped.append(request)
-            t_dropped[request.tenant] = t_dropped.get(request.tenant, 0) + 1
             metrics.counter(
                 "serving_requests_dropped", "requests dropped, by reason"
             ).inc(reason=reason)
@@ -391,8 +394,22 @@ class ClusterEngine:
                 else:
                     abort_inflight(event.replica, event.at_s)
 
+        def integrity_outcome(kind: str, cause: str, dispatch: Dispatch,
+                              at_s: float, /, **trace_args) -> None:
+            """Count one ABFT outcome of a retired batch; a drop is traced
+            by its requests' spans, every other kind by an instant."""
+            integrity_counts[kind] = integrity_counts.get(kind, 0) + 1
+            metrics.counter(
+                "integrity_events", "ABFT verification outcomes"
+            ).inc(kind=kind, cause=cause)
+            if kind != "dropped":
+                tracer.instant(
+                    f"integrity.{kind}", at=at_s, track=dispatch.replica,
+                    **trace_args,
+                )
+
         def apply_fault(event: FaultEvent) -> None:
-            nonlocal cold_starts
+            nonlocal cold_starts, fault_pressure
             assert monitor is not None
             fault_counts[event.kind] = fault_counts.get(event.kind, 0) + 1
             metrics.counter(
@@ -470,9 +487,7 @@ class ClusterEngine:
                 apply_board_dram(event)
             elif isinstance(event, LinkFault):
                 abort_inflight(event.replica, event.at_s)
-            admission.fault_pressure = (
-                router.n_routable < router.n_active
-            )
+            fault_pressure = router.n_routable < router.n_active
 
         def publish_gauges(at_s: float) -> None:
             """Refresh the fleet gauges the autoscaler consumes."""
@@ -505,7 +520,7 @@ class ClusterEngine:
             )
 
         def autoscale_tick(at_s: float) -> None:
-            nonlocal cold_starts
+            nonlocal cold_starts, fault_pressure
             assert scaler is not None
             publish_gauges(at_s)
             activated, deactivated = scaler.tick(at_s, gauges, router)
@@ -523,9 +538,7 @@ class ClusterEngine:
                 metrics.counter(
                     "cluster_scale_events", "autoscaler actions, by kind"
                 ).inc(kind="down")
-            admission.fault_pressure = (
-                router.n_routable < router.n_active
-            )
+            fault_pressure = router.n_routable < router.n_active
 
         while (arrival_idx < len(requests) or retryq or len(queue)
                or inflight_seqs):
@@ -554,11 +567,10 @@ class ClusterEngine:
                 request = requests[arrival_idx]
                 arrival_idx += 1
                 tenant = request.tenant
-                t_offered[tenant] = t_offered.get(tenant, 0) + 1
                 quota = self.tenant_policy.quota(tenant)
                 if quota is not None and queue.tenant_depth(tenant) >= quota:
-                    t_quota[tenant] = t_quota.get(tenant, 0) + 1
-                    t_rejected[tenant] = t_rejected.get(tenant, 0) + 1
+                    request.reject_reason = REJECT_QUOTA
+                    rejected.append(request)
                     metrics.counter(
                         "cluster_quota_rejections",
                         "arrivals refused by tenant quota",
@@ -567,7 +579,8 @@ class ClusterEngine:
                     queue.push(request)
                     depth_max = max(depth_max, queue.depth)
                 else:
-                    t_rejected[tenant] = t_rejected.get(tenant, 0) + 1
+                    request.reject_reason = REJECT_CAPACITY
+                    rejected.append(request)
 
             # Shed queued requests whose deadline has already passed.
             for request in queue.expire(now):
@@ -575,13 +588,13 @@ class ClusterEngine:
 
             # Launch batches while a board is free and the policy fires.
             while True:
-                degraded = admission.degraded(queue.depth)
+                degraded = admission.degraded(queue.depth, fault_pressure)
                 if not queue.ready(now, degraded=degraded):
                     break
                 if router.free_board(now) is None:
                     break
                 if degraded:
-                    admission.degraded_dispatches += 1
+                    degraded_dispatches += 1
                 batch = queue.pop(now)
                 avoid = frozenset(
                     last_failed[r.request_id] for r in batch.requests
@@ -665,41 +678,19 @@ class ClusterEngine:
                 if cause is not None:
                     # The batch's ABFT verification fails here, after it
                     # paid its full service time.
-                    integrity_counts["sdc_detected"] = (
-                        integrity_counts.get("sdc_detected", 0) + 1
-                    )
-                    metrics.counter(
-                        "integrity_events", "ABFT verification outcomes"
-                    ).inc(kind="sdc_detected", cause=cause)
-                    tracer.instant(
-                        "integrity.sdc_detected", at=done_s,
-                        track=dispatch.replica, cause=cause,
-                        size=dispatch.batch.size,
+                    integrity_outcome(
+                        "sdc_detected", cause, dispatch, done_s,
+                        cause=cause, size=dispatch.batch.size,
                     )
                     if policy.corrects and cause == "tpe_transient":
                         # A lone accumulator upset: the row/column
                         # syndromes localize it and the repaired output
                         # re-verifies — serve the batch normally.
-                        integrity_counts["corrected"] = (
-                            integrity_counts.get("corrected", 0) + 1
-                        )
-                        metrics.counter(
-                            "integrity_events", "ABFT verification outcomes"
-                        ).inc(kind="corrected", cause=cause)
-                        tracer.instant(
-                            "integrity.corrected", at=done_s,
-                            track=dispatch.replica,
-                        )
+                        integrity_outcome("corrected", cause, dispatch,
+                                          done_s)
                     elif policy.reexecutes:
-                        integrity_counts["reexecuted"] = (
-                            integrity_counts.get("reexecuted", 0) + 1
-                        )
-                        metrics.counter(
-                            "integrity_events", "ABFT verification outcomes"
-                        ).inc(kind="reexecuted", cause=cause)
-                        tracer.instant(
-                            "integrity.reexecuted", at=done_s,
-                            track=dispatch.replica,
+                        integrity_outcome(
+                            "reexecuted", cause, dispatch, done_s,
                             size=dispatch.batch.size,
                         )
                         for req in dispatch.batch.requests:
@@ -707,21 +698,13 @@ class ClusterEngine:
                             retry_or_drop(req, done_s)
                         continue
                     else:
-                        integrity_counts["dropped"] = (
-                            integrity_counts.get("dropped", 0) + 1
-                        )
-                        metrics.counter(
-                            "integrity_events", "ABFT verification outcomes"
-                        ).inc(kind="dropped", cause=cause)
+                        integrity_outcome("dropped", cause, dispatch, done_s)
                         for req in dispatch.batch.requests:
                             drop(req, DROP_SDC, done_s)
                         continue
                 for req in dispatch.batch.requests:
                     req.complete_s = done_s
                     completed.append(req)
-                    t_completed[req.tenant] = (
-                        t_completed.get(req.tenant, 0) + 1
-                    )
                     last_failed.pop(req.request_id, None)
                     if scaler is not None:
                         p99_window.append((done_s, done_s - req.arrival_s))
@@ -739,7 +722,6 @@ class ClusterEngine:
                 t_last_complete = max(t_last_complete, done_s)
 
         makespan = t_last_complete - t_start
-        n_quota_rejected = sum(t_quota.values())
         if metrics.enabled:
             for name, util in router.utilization(makespan).items():
                 metrics.gauge(
@@ -757,11 +739,10 @@ class ClusterEngine:
             ).set(depth_max)
             metrics.counter(
                 "serving_requests_rejected", "arrivals refused by admission"
-            ).inc(admission.rejected + n_quota_rejected)
+            ).inc(len(rejected))
         core = ServingReport(
             model=model,
             completed=tuple(completed),
-            n_rejected=admission.rejected + n_quota_rejected,
             slo_s=self.slo_s,
             makespan_s=makespan,
             queue_depth_time_avg=(
@@ -769,9 +750,10 @@ class ClusterEngine:
             ),
             queue_depth_max=depth_max,
             utilization=router.utilization(makespan),
-            degraded_dispatches=admission.degraded_dispatches,
+            degraded_dispatches=degraded_dispatches,
             cache_stats=self.service.cache_stats(),
             dropped=tuple(dropped),
+            rejected=tuple(rejected),
             n_retries=n_retries,
             fault_counts=dict(sorted(fault_counts.items())),
             integrity_policy=policy.value if policy.detects else None,
@@ -781,23 +763,12 @@ class ClusterEngine:
                 if monitor is not None else None
             ),
         )
-        per_tenant = {
-            tenant: TenantStats(
-                tenant=tenant,
-                n_offered=t_offered.get(tenant, 0),
-                n_completed=t_completed.get(tenant, 0),
-                n_rejected=t_rejected.get(tenant, 0),
-                n_dropped=t_dropped.get(tenant, 0),
-                n_quota_rejected=t_quota.get(tenant, 0),
-            )
-            for tenant in sorted(t_offered)
-        }
         return ClusterReport(
             core=core,
             t_start_s=t_start,
             n_racks=self.topology.n_racks,
             n_boards=self.topology.n_boards,
-            per_tenant=per_tenant,
+            per_tenant=tenant_ledger(requests, core),
             scale_ups=scaler.scale_ups if scaler else 0,
             scale_downs=scaler.scale_downs if scaler else 0,
             autoscale_ticks=scaler.ticks if scaler else 0,

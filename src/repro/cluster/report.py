@@ -14,15 +14,20 @@ The conservation identity the chaos campaigns assert is per tenant:
 
 for every tenant, under any fault schedule — a rack dying mid-load may
 move requests between the completed/dropped buckets but can never leak
-one.
+one.  :func:`tenant_ledger` derives it from where each request ended.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, islice
+from operator import attrgetter, eq
+from typing import Sequence
 
 from repro.errors import ServingError
 from repro.serving.metrics import ServingReport, percentile
+from repro.serving.request import REJECT_QUOTA, InferenceRequest
 
 
 @dataclass(frozen=True)
@@ -71,6 +76,43 @@ class TenantStats:
                if self.n_quota_rejected else "")
             + ")"
         )
+
+
+def tenant_ledger(
+    offered: Sequence[InferenceRequest], core: ServingReport
+) -> dict[str, TenantStats]:
+    """Per-tenant accounting of one run, sorted by tenant.
+
+    Raises:
+        ServingError: unless ``core.completed``, ``core.dropped`` and
+            ``core.rejected`` partition the ``offered`` request ids.
+    """
+    request_id, tenant_of = attrgetter("request_id"), attrgetter("tenant")
+    outcomes = (core.completed, core.dropped, core.rejected)
+    # Sorted lists, no copies: temporaries here add to a run's peak RSS.
+    ids = sorted(map(request_id, offered))
+    ended = sorted(chain.from_iterable(map(request_id, o) for o in outcomes))
+    if ended != ids or any(map(eq, ids, islice(ids, 1, None))):
+        raise ServingError(
+            f"the outcomes of {core.n_offered} requests do not partition "
+            f"the {len(offered)} offered request ids"
+        )
+    quota = [r for r in core.rejected if r.reject_reason == REJECT_QUOTA]
+    n_offered, n_completed, n_dropped, n_rejected, n_quota = (
+        Counter(map(tenant_of, requests))
+        for requests in (offered, *outcomes, quota)
+    )
+    return {
+        tenant: TenantStats(
+            tenant=tenant,
+            n_offered=n_offered[tenant],
+            n_completed=n_completed[tenant],
+            n_rejected=n_rejected[tenant],
+            n_dropped=n_dropped[tenant],
+            n_quota_rejected=n_quota[tenant],
+        )
+        for tenant in sorted(n_offered)
+    }
 
 
 @dataclass(frozen=True)

@@ -126,10 +126,6 @@ class ClusterRouter:
     def n_active(self) -> int:
         return sum(1 for b in self.boards if b.active)
 
-    @property
-    def n_up(self) -> int:
-        return sum(1 for b in self.boards if b.up)
-
     def free_board(
         self, now_s: float, avoid: frozenset[str] = frozenset()
     ) -> BoardState | None:

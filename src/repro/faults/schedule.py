@@ -114,12 +114,6 @@ class FaultSchedule:
                 )
         return self
 
-    def for_replica(self, replica: str) -> "FaultSchedule":
-        """The sub-schedule striking one replica."""
-        return FaultSchedule(
-            events=tuple(e for e in self.events if e.replica == replica)
-        )
-
     @classmethod
     def merge(cls, *schedules: "FaultSchedule") -> "FaultSchedule":
         """Compose schedules into one, with deterministic event order.

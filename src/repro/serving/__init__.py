@@ -23,11 +23,12 @@ Everything runs on a deterministic virtual clock:
   :class:`repro.integrity.IntegrityPolicy` (ABFT detection, in-place
   correction, verified re-execution).
 * :mod:`repro.serving.metrics` — throughput, p50/p95/p99, utilization,
-  SLO-violation, availability, and drop-reason accounting.
+  SLO-violation, availability, and drop-reason accounting over the
+  run's request outcomes (completed, dropped, rejected).
 """
 
 from repro.integrity.policy import IntegrityPolicy
-from repro.serving.admission import AdmissionController, AdmissionPolicy
+from repro.serving.admission import AdmissionPolicy
 from repro.serving.batcher import (
     Batch,
     BatchCost,
@@ -48,7 +49,6 @@ from repro.serving.request import (
 from repro.serving.scheduler import PipelineService, ReplicaService
 
 __all__ = [
-    "AdmissionController",
     "AdmissionPolicy",
     "Batch",
     "BatchCost",

@@ -40,45 +40,14 @@ class AdmissionPolicy:
                 f"{self.degrade_watermark}"
             )
 
-
-class AdmissionController:
-    """Stateful gate in front of the batcher queue.
-
-    Besides the watermark band, the controller carries *fault pressure*:
-    the serving engine raises :attr:`fault_pressure` while part of the
-    replica fleet is down, which forces the same degraded dispatch
-    regime (waived batch formation) regardless of queue depth — with
-    fewer replicas, draining beats batching.
-    """
-
-    def __init__(self, policy: AdmissionPolicy):
-        self.policy = policy
-        self.admitted = 0
-        self.rejected = 0
-        self.degraded_dispatches = 0
-        #: Set by the engine while any replica is crashed; forces the
-        #: degraded dispatch regime independent of the watermark.
-        self.fault_pressure = False
-
     def admit(self, queue_depth: int) -> bool:
-        """Whether a new arrival fits; counts the outcome either way."""
-        if queue_depth >= self.policy.capacity:
-            self.rejected += 1
-            return False
-        self.admitted += 1
-        return True
+        """Whether an arrival fits behind ``queue_depth`` queued requests."""
+        return queue_depth < self.capacity
 
-    def degraded(self, queue_depth: int) -> bool:
-        """Whether to waive batch formation (deep queue or fault pressure)."""
-        if self.fault_pressure:
+    def degraded(self, queue_depth: int, fault_pressure: bool = False) -> bool:
+        """Whether to waive batch formation: the queue is at or past the
+        watermark, or the engine reports *fault pressure* (part of the
+        fleet is down, so draining beats batching)."""
+        if fault_pressure:
             return True
-        threshold = self.policy.degrade_watermark * self.policy.capacity
-        return queue_depth >= threshold
-
-    @property
-    def offered(self) -> int:
-        return self.admitted + self.rejected
-
-    @property
-    def rejection_rate(self) -> float:
-        return self.rejected / self.offered if self.offered else 0.0
+        return queue_depth >= self.degrade_watermark * self.capacity

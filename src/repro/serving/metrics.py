@@ -37,7 +37,6 @@ class ServingReport:
     Attributes:
         model: Workload name.
         completed: Every request that finished, in completion order.
-        n_rejected: Arrivals turned away by admission control.
         slo_s: Latency objective the run was measured against.
         makespan_s: Virtual time from first arrival to last completion.
         queue_depth_time_avg: Time-weighted mean batcher queue depth.
@@ -49,6 +48,9 @@ class ServingReport:
         dropped: Requests dropped in flight or in queue (expired
             deadline, exhausted retries, no healthy replica), each
             carrying its ``drop_reason``.
+        rejected: Arrivals turned away by admission control, each
+            carrying its ``reject_reason``.  Every offered request ends
+            in exactly one of ``completed``, ``dropped`` and ``rejected``.
         n_retries: Retry dispatches performed after faults.
         fault_counts: Injected fault events by kind (empty when the run
             had no fault schedule).
@@ -63,7 +65,6 @@ class ServingReport:
 
     model: str
     completed: tuple[InferenceRequest, ...]
-    n_rejected: int
     slo_s: float
     makespan_s: float
     queue_depth_time_avg: float
@@ -72,6 +73,7 @@ class ServingReport:
     degraded_dispatches: int = 0
     cache_stats: CacheStats | None = None
     dropped: tuple[InferenceRequest, ...] = ()
+    rejected: tuple[InferenceRequest, ...] = ()
     n_retries: int = 0
     fault_counts: dict[str, int] = field(default_factory=dict)
     integrity_policy: str | None = None
@@ -86,6 +88,10 @@ class ServingReport:
     @property
     def n_dropped(self) -> int:
         return len(self.dropped)
+
+    @property
+    def n_rejected(self) -> int:
+        return len(self.rejected)
 
     @property
     def n_offered(self) -> int:

@@ -41,6 +41,10 @@ DROP_RETRY_EXHAUSTED = "retry_exhausted"
 DROP_NO_REPLICA = "no_healthy_replica"
 DROP_SDC = "sdc_detected"
 
+#: Rejection reasons: the global queue bound, or the tenant's own quota.
+REJECT_CAPACITY = "capacity"
+REJECT_QUOTA = "tenant_quota"
+
 
 @dataclass
 class InferenceRequest:
@@ -64,6 +68,8 @@ class InferenceRequest:
         tenant: Owning tenant for fleet-scale fair-share admission
             (:mod:`repro.cluster`); :class:`ServingEngine` runs leave the
             default.
+        reject_reason: Why admission refused the request (``None`` if
+            it did not): one of the ``REJECT_*`` reasons above.
     """
 
     request_id: int
@@ -77,6 +83,7 @@ class InferenceRequest:
     attempts: int = field(default=0, compare=False)
     drop_reason: str | None = field(default=None, compare=False)
     tenant: str = field(default="default", compare=False)
+    reject_reason: str | None = field(default=None, compare=False, init=False)
 
     def __post_init__(self) -> None:
         require_finite("arrival_s", self.arrival_s)

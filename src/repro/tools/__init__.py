@@ -20,10 +20,12 @@
 
 Error contract: every tool's ``main(argv=None) -> int`` goes through
 :func:`run_cli`.  Comma-list flags (``--grid``, ``--serving-grid``,
-``--systolic``, ``--mask-fractions``, ``--tenants``) are parsed before
-any work runs; a malformed one, like any other :class:`FTDLError`,
-prints one ``error: ...`` line to stderr and exits 1.  Argparse usage
-errors exit 2.
+``--systolic``, ``--mask-fractions``, ``--tenants``) are parsed, and
+count flags (``--replicas``, ``--requests``, ``--racks``,
+``--boards-per-rack``) checked to be >= 1, before any work runs; a
+malformed one, like any other :class:`FTDLError`, prints one
+``error: ...`` line to stderr and exits 1.  Argparse usage errors exit
+2.
 """
 
 from __future__ import annotations
@@ -66,6 +68,15 @@ def parse_dims(text: str, flag: str, names: str) -> tuple[int, ...]:
     return dims
 
 
+def check_counts(args: argparse.Namespace) -> None:
+    """Raise :class:`FTDLError` naming the first count flag ``args``
+    holds below 1."""
+    for flag in ("--replicas", "--requests", "--racks", "--boards-per-rack"):
+        value = getattr(args, flag[2:].replace("-", "_"), 1)
+        if value < 1:
+            raise FTDLError(f"{flag} must be >= 1, got {value}")
+
+
 def grid_config(
     text: str | None,
     flag: str = "--grid",
@@ -97,11 +108,12 @@ def run_cli(
     body: Callable[[argparse.Namespace], int],
     argv: list[str] | None,
 ) -> int:
-    """Parse ``argv`` with ``parser`` and return ``body(args)``; an
-    :class:`FTDLError` from the body prints one ``error: ...`` line to
-    stderr and returns 1."""
+    """Parse ``argv`` with ``parser``, check its count flags and return
+    ``body(args)``; an :class:`FTDLError` from either prints one
+    ``error: ...`` line to stderr and returns 1."""
     args = parser.parse_args(argv)
     try:
+        check_counts(args)
         return body(args)
     except FTDLError as error:
         print(f"error: {error}", file=sys.stderr)

@@ -2,6 +2,8 @@
 
 import pytest
 
+import dataclasses
+
 from repro.cluster import (
     AutoscalePolicy,
     ClusterEngine,
@@ -15,6 +17,7 @@ from repro.cluster import (
     build_fleet,
     weight_load_s,
 )
+from repro.cluster.report import tenant_ledger
 from repro.errors import FaultError, ServingError
 from repro.faults import (
     DramBitFlip,
@@ -31,7 +34,13 @@ from repro.overlay.config import OverlayConfig
 from repro.serving.admission import AdmissionPolicy
 from repro.serving.batcher import BatchPolicy, BatchServiceModel
 from repro.serving.engine import ServingEngine
-from repro.serving.request import RetryPolicy, make_requests, poisson_arrivals
+from repro.serving.request import (
+    REJECT_CAPACITY,
+    REJECT_QUOTA,
+    RetryPolicy,
+    make_requests,
+    poisson_arrivals,
+)
 from repro.serving.scheduler import ReplicaService
 from repro.trace.metrics import MetricsRegistry
 from repro.trace.span import Tracer
@@ -380,6 +389,60 @@ class TestTenancy:
         assert report.n_rejected == sum(
             t.n_rejected for t in report.per_tenant.values()
         )
+
+    def test_rejections_carry_their_reason(self):
+        """A quota refusal and a capacity refusal each land in
+        ``rejected`` stamped with their own reason."""
+        offered = self._requests(rate=20000.0)
+        report = ClusterEngine(
+            FleetService(heavy_model(), build_fleet(1, 1)),
+            batch_policy=BatchPolicy(max_batch=2, max_wait_s=0.5e-3),
+            admission_policy=AdmissionPolicy(capacity=4),
+            tenant_policy=TenantPolicy(quotas={"beta": 2}),
+        ).run(offered)
+        reasons = {(r.tenant, r.reject_reason) for r in report.core.rejected}
+        assert ("beta", REJECT_QUOTA) in reasons
+        assert ("alpha", REJECT_CAPACITY) in reasons
+        assert ("alpha", REJECT_QUOTA) not in reasons
+        assert report.per_tenant["beta"].n_quota_rejected == sum(
+            r.reject_reason == REJECT_QUOTA for r in report.core.rejected
+        )
+        ended = report.core.completed + report.core.dropped
+        assert all(r.reject_reason is None for r in ended)
+
+
+class TestLedger:
+    def _run(self):
+        offered = arrivals(n=120, rate=20000.0, deadline_s=2e-3)
+        report = ClusterEngine(
+            FleetService(heavy_model(), build_fleet(1, 1)),
+            batch_policy=BatchPolicy(max_batch=2, max_wait_s=0.5e-3),
+            admission_policy=AdmissionPolicy(capacity=16),
+        ).run(offered)
+        core = report.core
+        assert core.completed and core.dropped and core.rejected
+        return offered, core
+
+    def test_ledger_matches_report(self):
+        offered, core = self._run()
+        (stats,) = tenant_ledger(offered, core).values()
+        assert (stats.n_offered, stats.n_completed, stats.n_dropped,
+                stats.n_rejected) == (len(offered), core.n_completed,
+                                      core.n_dropped, core.n_rejected)
+
+    @pytest.mark.parametrize("break_it", [
+        (lambda o, c: (o, dataclasses.replace(
+            c, dropped=c.dropped + c.completed[:1]))),
+        (lambda o, c: (o, dataclasses.replace(
+            c, rejected=c.rejected[1:]))),
+        (lambda o, c: (o[1:], c)),
+        (lambda o, c: (o + o[:1], dataclasses.replace(
+            c, completed=c.completed + tuple(o[:1])))),
+    ], ids=["counted_twice", "lost", "not_offered", "offered_twice"])
+    def test_broken_outcomes_raise(self, break_it):
+        offered, core = break_it(*self._run())
+        with pytest.raises(ServingError, match="do not partition"):
+            tenant_ledger(offered, core)
 
 
 class TestAutoscaling:

@@ -23,7 +23,13 @@ from repro.overlay.config import OverlayConfig
 from repro.serving.admission import AdmissionPolicy
 from repro.serving.batcher import BatchPolicy, BatchServiceModel
 from repro.serving.engine import ServingEngine
-from repro.serving.request import RetryPolicy, make_requests, poisson_arrivals
+from repro.serving.request import (
+    REJECT_CAPACITY,
+    REJECT_QUOTA,
+    RetryPolicy,
+    make_requests,
+    poisson_arrivals,
+)
 from repro.serving.scheduler import ReplicaService
 from repro.workloads.layers import MatMulLayer
 from repro.workloads.network import Network
@@ -160,6 +166,23 @@ def test_every_draw_conserves_per_tenant(seed):
     assert sum(t.n_rejected for t in report.per_tenant.values()) == \
         report.n_rejected
     assert 0.0 <= report.availability <= 1.0
+    # Per tenant, the outcome tuples partition the offered request ids.
+    core = report.core
+    for tenant, stats in report.per_tenant.items():
+        offered = sorted(r.request_id for r in requests
+                         if r.tenant == tenant)
+        ended = sorted(
+            r.request_id
+            for r in core.completed + core.dropped + core.rejected
+            if r.tenant == tenant
+        )
+        assert ended == offered
+        quota = [r for r in core.rejected
+                 if r.tenant == tenant and r.reject_reason == REJECT_QUOTA]
+        assert len(quota) == stats.n_quota_rejected
+    assert {r.reject_reason for r in core.rejected} <= {
+        REJECT_CAPACITY, REJECT_QUOTA,
+    }
 
 
 @pytest.mark.parametrize("seed", [0, 3, 7, 11, 16])

@@ -1,9 +1,10 @@
 """Mapping vectors: structure, products, and the Eqn 1-5 index math."""
 
 import itertools
+import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from repro.compiler.mapping import HW_LEVELS, MappingVectors
 from repro.errors import MappingError
@@ -117,6 +118,17 @@ class TestIndexMath:
         assert bumped[0] - base[0] == 4
 
 
+#: The seed ``derandomize=True`` derived from this property's source
+#: when it collected index tuples in a set.  Pinning it keeps those same
+#: 30 draws (7.6 M hardware tuples, 4.25 M in the largest) whatever the
+#: body says, since a derandomized seed changes with every source edit.
+BIJECTION_SEED = int(
+    "1223283676096877650390029543473137381650069390954479127047400779788"
+    "3702508915030460425365690292326353283765308618229"
+)
+
+
+@seed(BIJECTION_SEED)
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(
     trips=st.lists(
@@ -138,10 +150,16 @@ def test_bijection_property(trips):
     }
     mapping = MappingVectors.from_partial(names, partial)
     ranges = [range(mapping.level_product(level)) for level in HW_LEVELS]
-    seen = set()
+    padded = mapping.padded_sizes()
+    sizes = [padded[name] for name in mapping.loop_names]
+    # One byte per slot of the flat padded index space: a Python set of
+    # index tuples costs ~120 bytes per tuple at the largest draws.
+    seen = bytearray(math.prod(sizes))
     for hw_tuple in itertools.product(*ranges):
-        seen.add(mapping.workload_indices(*hw_tuple))
-    expected = 1
-    for size in mapping.padded_sizes().values():
-        expected *= size
-    assert len(seen) == expected
+        flat = 0
+        for value, size in zip(mapping.workload_indices(*hw_tuple), sizes):
+            assert 0 <= value < size
+            flat = flat * size + value
+        assert not seen[flat], f"duplicate workload index for {hw_tuple}"
+        seen[flat] = 1
+    assert seen.count(0) == 0

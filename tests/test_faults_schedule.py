@@ -105,16 +105,6 @@ class TestFaultSchedule:
                 ReplicaCrash(2.0, "a"), ReplicaCrash(1.0, "a"),
             ))
 
-    def test_for_replica_filters(self):
-        sched = FaultSchedule.from_events([
-            ReplicaCrash(1.0, "a"),
-            ReplicaCrash(2.0, "b"),
-            ReplicaRecovery(3.0, "a"),
-        ])
-        sub = sched.for_replica("a")
-        assert len(sub) == 2
-        assert all(e.replica == "a" for e in sub.events)
-
     def test_counts_and_describe(self):
         sched = FaultSchedule.from_events([
             ReplicaCrash(1.0, "a"),
@@ -352,6 +342,6 @@ class TestMerge:
             FaultSchedule.from_events([ReplicaRecovery(2.0, "r")]),
         )
         # from_events-style invariants hold on the result.
-        assert merged.for_replica("r").counts() == {
+        assert merged.counts() == {
             "crash": 1, "recovery": 1,
         }

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ServingError
-from repro.serving.admission import AdmissionController, AdmissionPolicy
+from repro.serving.admission import AdmissionPolicy
 
 
 class TestAdmissionPolicy:
@@ -18,92 +18,62 @@ class TestAdmissionPolicy:
 
 
 class TestAdmissionController:
+    """The policy's admit/degraded decisions the serving loop asks."""
+
     def test_admits_below_capacity(self):
-        ctl = AdmissionController(AdmissionPolicy(capacity=2))
-        assert ctl.admit(0)
-        assert ctl.admit(1)
-        assert ctl.admitted == 2
-        assert ctl.rejected == 0
+        policy = AdmissionPolicy(capacity=2)
+        assert policy.admit(0)
+        assert policy.admit(1)
 
     def test_rejects_at_capacity(self):
-        ctl = AdmissionController(AdmissionPolicy(capacity=2))
-        assert not ctl.admit(2)
-        assert ctl.rejected == 1
-        assert ctl.rejection_rate == 1.0
+        policy = AdmissionPolicy(capacity=2)
+        assert not policy.admit(2)
 
     def test_degraded_band(self):
-        ctl = AdmissionController(
-            AdmissionPolicy(capacity=100, degrade_watermark=0.75)
-        )
-        assert not ctl.degraded(74)
-        assert ctl.degraded(75)
-        assert ctl.degraded(100)
-
-    def test_offered_counts_both(self):
-        ctl = AdmissionController(AdmissionPolicy(capacity=1))
-        ctl.admit(0)
-        ctl.admit(1)
-        assert ctl.offered == 2
-        assert ctl.rejection_rate == pytest.approx(0.5)
+        policy = AdmissionPolicy(capacity=100, degrade_watermark=0.75)
+        assert not policy.degraded(74)
+        assert policy.degraded(75)
+        assert policy.degraded(100)
 
 
 class TestAdmissionEdgeCases:
     def test_queue_exactly_at_watermark(self):
         """The watermark boundary itself is degraded (>=, not >)."""
-        ctl = AdmissionController(
-            AdmissionPolicy(capacity=8, degrade_watermark=0.5)
-        )
-        assert not ctl.degraded(3)
-        assert ctl.degraded(4)  # exactly 0.5 * 8
+        policy = AdmissionPolicy(capacity=8, degrade_watermark=0.5)
+        assert not policy.degraded(3)
+        assert policy.degraded(4)  # exactly 0.5 * 8
 
     def test_fractional_watermark_threshold(self):
         # 0.75 * 10 = 7.5: depth 7 is healthy, depth 8 is degraded.
-        ctl = AdmissionController(
-            AdmissionPolicy(capacity=10, degrade_watermark=0.75)
-        )
-        assert not ctl.degraded(7)
-        assert ctl.degraded(8)
+        policy = AdmissionPolicy(capacity=10, degrade_watermark=0.75)
+        assert not policy.degraded(7)
+        assert policy.degraded(8)
 
     def test_watermark_equals_capacity(self):
         """watermark=1.0 only degrades a full queue — which admission
         then rejects, so degradation and rejection meet at one depth."""
-        ctl = AdmissionController(
-            AdmissionPolicy(capacity=4, degrade_watermark=1.0)
-        )
-        assert not ctl.degraded(3)
-        assert ctl.degraded(4)
-        assert not ctl.admit(4)
+        policy = AdmissionPolicy(capacity=4, degrade_watermark=1.0)
+        assert not policy.degraded(3)
+        assert policy.degraded(4)
+        assert not policy.admit(4)
 
     def test_capacity_one(self):
-        ctl = AdmissionController(
-            AdmissionPolicy(capacity=1, degrade_watermark=1.0)
-        )
-        assert ctl.admit(0)
-        assert not ctl.admit(1)
-        assert ctl.degraded(1)
+        policy = AdmissionPolicy(capacity=1, degrade_watermark=1.0)
+        assert policy.admit(0)
+        assert not policy.admit(1)
+        assert policy.degraded(1)
 
     def test_degradation_toggles_with_depth(self):
         """Degradation is a pure function of depth: draining the queue
         below the watermark restores normal batch formation."""
-        ctl = AdmissionController(
-            AdmissionPolicy(capacity=8, degrade_watermark=0.5)
-        )
-        assert not ctl.degraded(2)
-        assert ctl.degraded(6)
-        assert not ctl.degraded(2)
-        assert ctl.degraded(5)
+        policy = AdmissionPolicy(capacity=8, degrade_watermark=0.5)
+        assert not policy.degraded(2)
+        assert policy.degraded(6)
+        assert not policy.degraded(2)
+        assert policy.degraded(5)
 
     def test_fault_pressure_overrides_watermark(self):
-        ctl = AdmissionController(
-            AdmissionPolicy(capacity=100, degrade_watermark=0.75)
-        )
-        assert not ctl.degraded(0)
-        ctl.fault_pressure = True
-        assert ctl.degraded(0)
-        ctl.fault_pressure = False
-        assert not ctl.degraded(0)
-
-    def test_degraded_queries_do_not_count_dispatches(self):
-        ctl = AdmissionController(AdmissionPolicy(capacity=4))
-        ctl.degraded(4)
-        assert ctl.degraded_dispatches == 0
+        policy = AdmissionPolicy(capacity=100, degrade_watermark=0.75)
+        assert not policy.degraded(0)
+        assert policy.degraded(0, fault_pressure=True)
+        assert not policy.degraded(0, fault_pressure=False)

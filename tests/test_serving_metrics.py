@@ -39,8 +39,12 @@ def _record(i, arrival, dispatch, complete, batch=1, replica="r0"):
 
 
 def _report(completed, rejected=0, slo_s=1.0, makespan=10.0):
+    refused = tuple(
+        InferenceRequest(request_id=1000 + i, model="m", arrival_s=0.0)
+        for i in range(rejected)
+    )
     return ServingReport(
-        model="m", completed=tuple(completed), n_rejected=rejected,
+        model="m", completed=tuple(completed), rejected=refused,
         slo_s=slo_s, makespan_s=makespan, queue_depth_time_avg=0.0,
         queue_depth_max=0, utilization={"r0": 0.5},
     )

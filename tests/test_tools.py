@@ -140,13 +140,41 @@ MALFORMED_LIST_FLAGS = {
 }
 
 
-@pytest.mark.parametrize("tool, argv, flag", MALFORMED_LIST_FLAGS.values(),
-                         ids=MALFORMED_LIST_FLAGS.keys())
-def test_malformed_list_flag_is_clean_error(tool, argv, flag, capsys):
-    """A malformed list flag exits 1 with one ``error:`` line naming it,
-    before any work (nothing on stdout) and without a traceback."""
+#: A count below 1 for every count flag of every tool that has one:
+#: (tool, argv, flag).
+BAD_COUNT_FLAGS = {
+    "serve-replicas": (serve, ["--replicas", "0"], "--replicas"),
+    "serve-requests": (serve, ["--requests", "0"], "--requests"),
+    "chaos-replicas": (chaos, ["--replicas", "0"], "--replicas"),
+    "chaos-requests": (chaos, ["--requests", "-1"], "--requests"),
+    "trace-replicas": (trace, ["--replicas", "0"], "--replicas"),
+    "trace-requests": (trace, ["--requests", "0"], "--requests"),
+    "sdc-replicas": (sdc, ["--replicas", "0"], "--replicas"),
+    "sdc-requests": (sdc, ["--requests", "0"], "--requests"),
+    "cluster-racks": (cluster, ["--racks", "0"], "--racks"),
+    "cluster-boards-per-rack": (cluster, ["--boards-per-rack", "0"],
+                                "--boards-per-rack"),
+    "cluster-requests": (cluster, ["--requests", "0"], "--requests"),
+}
+
+
+def _assert_clean_flag_error(tool, argv, flag, capsys):
+    """Exit 1 with one ``error:`` line naming ``flag``, before any work
+    (nothing on stdout) and without a traceback."""
     assert tool.main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {flag} ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tool, argv, flag", MALFORMED_LIST_FLAGS.values(),
+                         ids=MALFORMED_LIST_FLAGS.keys())
+def test_malformed_list_flag_is_clean_error(tool, argv, flag, capsys):
+    _assert_clean_flag_error(tool, argv, flag, capsys)
+
+
+@pytest.mark.parametrize("tool, argv, flag", BAD_COUNT_FLAGS.values(),
+                         ids=BAD_COUNT_FLAGS.keys())
+def test_bad_count_flag_is_clean_error(tool, argv, flag, capsys):
+    _assert_clean_flag_error(tool, argv, flag, capsys)
