@@ -44,7 +44,9 @@ On top of that the fleet adds:
   ClusterRouter` drains a board the instant any gate closes and
   re-admits it when the gate reopens; retried requests are *hedged*
   away from the board that just failed them when an alternative is
-  free.
+  free.  The router's board states are the run's health ledger: the
+  report's ``health`` (``None`` without a fault schedule) is built
+  from them.
 * **Autoscaling** — an optional :class:`~repro.cluster.autoscale.
   Autoscaler` ticks on the virtual clock, reading the fleet gauges the
   engine publishes into a :class:`MetricsRegistry`; activated boards
@@ -106,7 +108,6 @@ from repro.faults.events import (
     ReplicaSlowdown,
     TPEFault,
 )
-from repro.faults.monitor import HealthMonitor
 from repro.faults.schedule import FaultSchedule
 from repro.integrity.policy import IntegrityPolicy
 from repro.serving.admission import AdmissionPolicy
@@ -233,12 +234,25 @@ class ClusterEngine:
 
     def run(self, requests: Sequence[InferenceRequest]) -> ClusterReport:
         """Serve ``requests`` (sorted by arrival) to completion; raises
-        :class:`ServingError` unless the outcomes partition their ids."""
+        :class:`ServingError` unless the outcomes partition their ids.
+
+        A run writes its outcome onto the requests, so each list serves
+        once: requests that already carry run state (a dispatch attempt,
+        a drop or a reject reason) are refused with :class:`ServingError`
+        rather than silently rewriting an earlier report's requests.
+        """
         if not requests:
             raise ServingError("no requests to serve")
         if any(b.arrival_s < a.arrival_s
                for a, b in zip(requests, requests[1:])):
             raise ServingError("requests are not sorted by arrival time")
+        for request in requests:
+            if (request.attempts or request.drop_reason is not None
+                    or request.reject_reason is not None):
+                raise ServingError(
+                    f"request {request.request_id} already carries run "
+                    f"state from an earlier run; serve fresh requests"
+                )
         model = requests[0].model
 
         queue = TenantQueueSet(self.batch_policy, self.tenant_policy)
@@ -250,10 +264,6 @@ class ClusterEngine:
             self.fault_schedule.events if self.fault_schedule else ()
         )
         multi_rack = self.topology.n_racks > 1
-        monitor = HealthMonitor(
-            list(self.topology.board_names), tracer=tracer,
-            domains=self.topology.domains() if multi_rack else None,
-        ) if faults else None
 
         scaler = Autoscaler(self.autoscale_policy, self.cold_start_s) \
             if self.autoscale_policy is not None else None
@@ -341,7 +351,6 @@ class ClusterEngine:
                 aborted.add(seq_id)
                 del inflight_seqs[seq_id]
                 corrupt.pop(seq_id, None)
-                router.by_name(board_name).aborted_batches += 1
                 for request in dispatch.batch.requests:
                     last_failed[request.request_id] = board_name
                     retry_or_drop(request, at_s)
@@ -355,13 +364,14 @@ class ClusterEngine:
                     cause if seq_id not in corrupt else "multiple"
                 )
 
-        def drain_board(board: BoardState, at_s: float, cause: str) -> None:
-            """A gate closed: abort in-flight work, account the outage."""
+        def drain_board(board: BoardState, went_down: bool, at_s: float,
+                        cause: str) -> None:
+            """A gate closed: abort in-flight work, trace the outage."""
             nonlocal drains
-            assert monitor is not None
             drains += 1
             abort_inflight(board.name, at_s)
-            monitor.record_crash(board.name, at_s)
+            if went_down:
+                tracer.instant("health.down", at=at_s, track=board.name)
             tracer.instant(
                 "cluster.drain", at=at_s, track=board.name, cause=cause,
             )
@@ -369,14 +379,15 @@ class ClusterEngine:
                 "cluster_drains", "board drain transitions, by cause"
             ).inc(cause=cause)
 
-        def readmit_board(board: BoardState, at_s: float,
-                          cause: str) -> None:
-            """A gate reopened: re-admit if the board is fully up."""
+        def readmit_board(board: BoardState, repair_s: float | None,
+                          at_s: float, cause: str) -> None:
+            """A gate reopened: trace the repair if the board is back up."""
             nonlocal readmits
-            assert monitor is not None
             readmits += 1
-            if board.up:
-                monitor.record_recovery(board.name, at_s)
+            if repair_s is not None:
+                tracer.instant(
+                    "health.up", at=at_s, track=board.name, repair_s=repair_s,
+                )
             tracer.instant(
                 "cluster.readmit", at=at_s, track=board.name, cause=cause,
                 warm_at_s=board.warm_at_s,
@@ -386,9 +397,14 @@ class ClusterEngine:
             ).inc(cause=cause)
 
         def apply_board_dram(event: DramBitFlip) -> None:
-            assert monitor is not None
             if not event.correctable:
-                monitor.record_dram_uncorrectable(event.replica, event.at_s)
+                # Escaped ECC: the board stays up but its results are
+                # corrupt; only an integrity policy catches them.
+                router.by_name(event.replica).dram_uncorrectable += 1
+                tracer.instant(
+                    "health.sdc_exposure", at=event.at_s,
+                    track=event.replica,
+                )
                 if policy.detects:
                     mark_corrupt(event.replica, "dram_uncorrectable")
                 else:
@@ -408,9 +424,15 @@ class ClusterEngine:
                     **trace_args,
                 )
 
+        def crash_board(board_name: str, at_s: float) -> None:
+            """Close a healthy board's health gate, losing its work."""
+            if router.by_name(board_name).healthy:
+                abort_inflight(board_name, at_s)
+                if router.crash(board_name, at_s):
+                    tracer.instant("health.down", at=at_s, track=board_name)
+
         def apply_fault(event: FaultEvent) -> None:
             nonlocal cold_starts, fault_pressure
-            assert monitor is not None
             fault_counts[event.kind] = fault_counts.get(event.kind, 0) + 1
             metrics.counter(
                 "faults_injected", "fault events applied, by kind"
@@ -419,26 +441,22 @@ class ClusterEngine:
                 f"fault.{event.kind}", at=event.at_s, track=event.replica,
             )
             if isinstance(event, RackPowerLoss):
-                for board in router.rack_boards(event.domain):
-                    if board.powered:
-                        drain_board(board, event.at_s, event.kind)
-                router.power_down_rack(event.domain, event.at_s)
+                for board, went_down in router.power_down_rack(
+                        event.domain, event.at_s):
+                    drain_board(board, went_down, event.at_s, event.kind)
             elif isinstance(event, RackPowerRestore):
-                restored = router.power_up_rack(
-                    event.domain, event.at_s, self.cold_start_s
-                )
-                for board in restored:
+                for board, repair_s in router.power_up_rack(
+                        event.domain, event.at_s, self.cold_start_s):
                     cold_starts += 1
-                    readmit_board(board, event.at_s, event.kind)
+                    readmit_board(board, repair_s, event.at_s, event.kind)
             elif isinstance(event, NetworkPartition):
-                for board in router.rack_boards(event.domain):
-                    if board.reachable:
-                        drain_board(board, event.at_s, event.kind)
-                router.partition_rack(event.domain, event.at_s)
+                for board, went_down in router.partition_rack(
+                        event.domain, event.at_s):
+                    drain_board(board, went_down, event.at_s, event.kind)
             elif isinstance(event, NetworkHeal):
-                healed = router.heal_rack(event.domain, event.at_s)
-                for board in healed:
-                    readmit_board(board, event.at_s, event.kind)
+                for board, repair_s in router.heal_rack(
+                        event.domain, event.at_s):
+                    readmit_board(board, repair_s, event.at_s, event.kind)
             elif isinstance(event, CorrelatedDramFault):
                 members = [
                     b.name for b in router.rack_boards(event.domain)
@@ -446,20 +464,23 @@ class ClusterEngine:
                 for flip in event.expand(members):
                     apply_board_dram(flip)
             elif isinstance(event, ReplicaCrash):
-                board = router.by_name(event.replica)
-                if board.healthy:
-                    abort_inflight(event.replica, event.at_s)
-                    router.crash(event.replica, event.at_s)
-                    monitor.record_crash(event.replica, event.at_s)
+                crash_board(event.replica, event.at_s)
             elif isinstance(event, ReplicaRecovery):
-                board = router.recover(event.replica, event.at_s)
-                if board.up:
-                    monitor.record_recovery(event.replica, event.at_s)
+                repair_s = router.recover(event.replica, event.at_s)
+                if repair_s is not None:
+                    tracer.instant(
+                        "health.up", at=event.at_s, track=event.replica,
+                        repair_s=repair_s,
+                    )
             elif isinstance(event, ReplicaSlowdown):
                 board = router.by_name(event.replica)
                 if board.healthy:
                     board.slow_factor = event.factor
-                    monitor.record_slowdown(event.replica, event.at_s)
+                    board.slowdowns += 1
+                    tracer.instant(
+                        "health.slowdown", at=event.at_s,
+                        track=event.replica,
+                    )
             elif isinstance(event, TPEFault):
                 if event.stuck:
                     coords = masked.setdefault(event.replica, set())
@@ -475,10 +496,7 @@ class ClusterEngine:
                     except (FaultError, ScheduleError):
                         # No healthy (schedulable) sub-grid left: the
                         # overlay is gone.
-                        if board.healthy:
-                            abort_inflight(event.replica, event.at_s)
-                            router.crash(event.replica, event.at_s)
-                            monitor.record_crash(event.replica, event.at_s)
+                        crash_board(event.replica, event.at_s)
                 elif policy.detects:
                     mark_corrupt(event.replica, "tpe_transient")
                 else:
@@ -759,8 +777,8 @@ class ClusterEngine:
             integrity_policy=policy.value if policy.detects else None,
             integrity_counts=dict(sorted(integrity_counts.items())),
             health=(
-                monitor.finalize(t_last_complete, t_start)
-                if monitor is not None else None
+                router.health_report(t_last_complete, t_start)
+                if faults else None
             ),
         )
         return ClusterReport(

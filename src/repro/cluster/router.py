@@ -17,6 +17,12 @@ retry path); the gate re-opening re-admits it automatically.  Placement
 is lowest-index-first over routable boards, with an optional ``avoid``
 set for hedged retry placement — a retried request steers away from the
 board that just failed it when any alternative is free.
+
+The boards' states are also the run's only record of board health.  A
+board is *down* while any of its ``healthy``/``powered``/``reachable``
+gates is closed; the gate methods open a downtime interval when a board
+goes down and close it (a *repair*) when the last gate reopens, and
+:meth:`ClusterRouter.health_report` snapshots that ledger at run end.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from dataclasses import dataclass
 
 from repro.cluster.topology import FleetTopology
 from repro.errors import FaultError, ServingError
+from repro.faults.monitor import DomainHealth, HealthReport
 from repro.serving.batcher import Batch
 
 
@@ -41,14 +48,21 @@ class Dispatch:
 
 @dataclass
 class BoardState:
-    """Dispatch + gate bookkeeping for one board."""
+    """Dispatch, gate and health-ledger bookkeeping for one board.
+
+    Ledger fields: ``down_since`` is the instant the board went down
+    (``None`` while it is up); ``downtime_s`` sums its repaired
+    intervals; ``crashes`` and ``recoveries`` count down transitions and
+    recoveries that left it up (a recovery of a board that never went
+    down still counts); ``slowdowns`` and ``dram_uncorrectable`` count
+    the slowdowns it took while healthy and the DRAM upsets that escaped
+    ECC on it (those corrupt results but never take a board down).
+    """
 
     name: str
     rack: str
     free_at_s: float = 0.0
     busy_s: float = 0.0
-    batches: int = 0
-    requests: int = 0
     healthy: bool = True
     powered: bool = True
     reachable: bool = True
@@ -56,8 +70,12 @@ class BoardState:
     warm_at_s: float = 0.0
     slow_factor: float = 1.0
     degrade_factor: float = 1.0
+    down_since: float | None = None
+    downtime_s: float = 0.0
     crashes: int = 0
-    aborted_batches: int = 0
+    recoveries: int = 0
+    slowdowns: int = 0
+    dram_uncorrectable: int = 0
 
     @property
     def routable(self) -> bool:
@@ -95,6 +113,9 @@ class ClusterRouter:
         self._by_rack: dict[str, list[BoardState]] = {}
         for board in self.boards:
             self._by_rack.setdefault(board.rack, []).append(board)
+        #: Every repair as (board, repair seconds), in the order they
+        #: happened: the fleet MTTR averages them in this order.
+        self.repairs: list[tuple[BoardState, float]] = []
 
     def by_name(self, name: str) -> BoardState:
         """Look up one board's state.
@@ -156,69 +177,102 @@ class ClusterRouter:
         return [b for b in self.boards if not b.active and b.up]
 
     # ------------------------------------------------------------- gates
-    def _take_down(self, board: BoardState, now_s: float) -> None:
-        """Roll back unfinished busy time when a board stops serving."""
+    def _closed(self, board: BoardState, now_s: float) -> bool:
+        """A gate just closed on ``board``: roll back its unfinished busy
+        time and, if it was up until now, open a downtime interval.
+        Returns whether the board went down."""
         if board.free_at_s > now_s:
             board.busy_s -= board.free_at_s - now_s
             board.free_at_s = now_s
+        if board.down_since is not None:
+            return False
+        board.down_since = now_s
+        board.crashes += 1
+        return True
 
-    def crash(self, name: str, now_s: float) -> BoardState:
+    def _reopened(self, board: BoardState, now_s: float) -> float | None:
+        """A recovery or reopened gate landed on ``board``: if the board
+        is up, count the recovery and close its downtime interval.
+        Returns the repair seconds, or ``None`` when no interval closed."""
+        if not board.up:
+            return None
+        board.recoveries += 1
+        if board.down_since is None:
+            return None
+        repair_s = now_s - board.down_since
+        board.down_since = None
+        board.downtime_s += repair_s
+        self.repairs.append((board, repair_s))
+        return repair_s
+
+    def crash(self, name: str, now_s: float) -> bool:
+        """Close the health gate; returns whether the board went down."""
         board = self.by_name(name)
-        if board.healthy:
-            board.healthy = False
-            board.crashes += 1
-            self._take_down(board, now_s)
-        return board
+        if not board.healthy:
+            return False
+        board.healthy = False
+        return self._closed(board, now_s)
 
-    def recover(self, name: str, now_s: float) -> BoardState:
+    def recover(self, name: str, now_s: float) -> float | None:
+        """Reopen the health gate and clear any slowdown; returns the
+        repair seconds when this brought the board back up."""
         board = self.by_name(name)
         if not board.healthy:
             board.healthy = True
             board.free_at_s = max(board.free_at_s, now_s)
         board.slow_factor = 1.0
-        return board
+        return self._reopened(board, now_s)
 
-    def power_down_rack(self, rack: str, now_s: float) -> list[BoardState]:
-        """Close the power gate on every member (DRAM is lost)."""
+    def power_down_rack(
+        self, rack: str, now_s: float
+    ) -> list[tuple[BoardState, bool]]:
+        """Close the power gate on every member (DRAM is lost); returns
+        each struck board with whether it went down."""
         struck = []
         for board in self.rack_boards(rack):
             if board.powered:
                 board.powered = False
-                self._take_down(board, now_s)
-                struck.append(board)
+                struck.append((board, self._closed(board, now_s)))
         return struck
 
     def power_up_rack(
         self, rack: str, now_s: float, cold_start_s: float
-    ) -> list[BoardState]:
-        """Reopen the power gate; members warm up for ``cold_start_s``."""
+    ) -> list[tuple[BoardState, float | None]]:
+        """Reopen the power gate; members warm up for ``cold_start_s``.
+        Returns each restored board with its repair seconds (``None``
+        while another gate keeps it down)."""
         restored = []
         for board in self.rack_boards(rack):
             if not board.powered:
                 board.powered = True
                 board.free_at_s = max(board.free_at_s, now_s)
                 board.warm_at_s = now_s + cold_start_s
-                restored.append(board)
+                restored.append((board, self._reopened(board, now_s)))
         return restored
 
-    def partition_rack(self, rack: str, now_s: float) -> list[BoardState]:
-        """Close the network gate on every member."""
+    def partition_rack(
+        self, rack: str, now_s: float
+    ) -> list[tuple[BoardState, bool]]:
+        """Close the network gate on every member; returns each struck
+        board with whether it went down."""
         struck = []
         for board in self.rack_boards(rack):
             if board.reachable:
                 board.reachable = False
-                self._take_down(board, now_s)
-                struck.append(board)
+                struck.append((board, self._closed(board, now_s)))
         return struck
 
-    def heal_rack(self, rack: str, now_s: float) -> list[BoardState]:
-        """Reopen the network gate; DRAM survived, no warm-up."""
+    def heal_rack(
+        self, rack: str, now_s: float
+    ) -> list[tuple[BoardState, float | None]]:
+        """Reopen the network gate (DRAM survived, no warm-up); returns
+        each healed board with its repair seconds, as ``power_up_rack``."""
         healed = []
         for board in self.rack_boards(rack):
             if not board.reachable:
                 board.reachable = True
                 board.free_at_s = max(board.free_at_s, now_s)
-                healed.append(board)
+                healed.append((board, self._reopened(board, now_s)))
         return healed
 
     def activate(
@@ -261,8 +315,6 @@ class ClusterRouter:
             )
         board.free_at_s = now_s + occupancy_s
         board.busy_s += occupancy_s
-        board.batches += 1
-        board.requests += batch.size
         return Dispatch(
             batch=batch,
             replica=board.name,
@@ -283,3 +335,54 @@ class ClusterRouter:
             rack: sum(util[b.name] for b in boards) / len(boards)
             for rack, boards in self._by_rack.items()
         }
+
+    def health_report(self, end_s: float, start_s: float) -> HealthReport:
+        """Snapshot the health ledger over ``[start_s, end_s]``.
+
+        A board still down at ``end_s`` counts its open interval up to
+        then.  A fleet of two or more racks also gets a per-rack
+        :class:`DomainHealth` rollup; one rack would only repeat the
+        fleet totals.
+        """
+        downtime = {}
+        for board in self.boards:
+            down_s = board.downtime_s
+            if board.down_since is not None and end_s > board.down_since:
+                down_s += end_s - board.down_since
+            downtime[board.name] = down_s
+        span_s = max(end_s - start_s, 0.0)
+        per_domain = {}
+        if len(self._by_rack) > 1:
+            for rack in sorted(self._by_rack):
+                members = self._by_rack[rack]
+                per_domain[rack] = DomainHealth(
+                    domain=rack,
+                    n_members=len(members),
+                    crashes=sum(b.crashes for b in members),
+                    recoveries=sum(b.recoveries for b in members),
+                    mttr_s=_mean([
+                        r for b in members
+                        for owner, r in self.repairs if owner is b
+                    ]),
+                    downtime_s=sum(downtime[b.name] for b in members),
+                    span_s=span_s,
+                    dram_uncorrectable=sum(
+                        b.dram_uncorrectable for b in members
+                    ),
+                )
+        return HealthReport(
+            n_replicas=len(self.boards),
+            crashes=sum(b.crashes for b in self.boards),
+            slowdowns=sum(b.slowdowns for b in self.boards),
+            recoveries=sum(b.recoveries for b in self.boards),
+            mttr_s=_mean([r for _, r in self.repairs]),
+            downtime_s=sum(downtime.values()),
+            span_s=span_s,
+            per_replica_downtime_s=downtime,
+            dram_uncorrectable=sum(b.dram_uncorrectable for b in self.boards),
+            per_domain=per_domain,
+        )
+
+
+def _mean(values: list[float]) -> float:
+    return sum(values) / len(values) if values else 0.0

@@ -119,10 +119,6 @@ class FleetTopology:
                 return rack.board_names
         raise ServingError(f"unknown rack {rack_name!r}")
 
-    def domains(self) -> dict[str, str]:
-        """Board → owning rack, the health monitor's domain mapping."""
-        return {b.name: b.rack for b in self.boards}
-
     def describe(self) -> str:
         per_rack = ", ".join(
             f"{r.name}({len(r.boards)})" for r in self.racks

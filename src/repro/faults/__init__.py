@@ -13,8 +13,9 @@ machinery the serving and compiler layers build on:
   sub-grid derivation.
 * :mod:`repro.faults.degrade` — fault-aware compilation: re-run the
   schedule search on the sub-grid and report the efficiency delta.
-* :mod:`repro.faults.monitor` — replica health tracking, MTTR, and
-  uptime accounting for the serving engine.
+* :mod:`repro.faults.monitor` — the end-of-run health report (MTTR,
+  downtime, uptime, per-rack rollup) built from the cluster router's
+  board ledger.
 
 Everything is seeded and virtual-clock driven: an identical seed and
 fault schedule reproduce a chaos run bit-for-bit.
@@ -37,7 +38,7 @@ from repro.faults.schedule import (
 )
 from repro.faults.mask import FaultMask, largest_healthy_subgrid
 from repro.faults.degrade import DegradationReport, degraded_compile
-from repro.faults.monitor import DomainHealth, HealthMonitor, HealthReport
+from repro.faults.monitor import DomainHealth, HealthReport
 
 __all__ = [
     "DegradationReport",
@@ -46,7 +47,6 @@ __all__ = [
     "FaultEvent",
     "FaultMask",
     "FaultSchedule",
-    "HealthMonitor",
     "HealthReport",
     "LinkFault",
     "ReplicaCrash",

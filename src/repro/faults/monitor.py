@@ -1,20 +1,17 @@
-"""Replica health monitoring: downtime accounting, MTTR, availability.
+"""Board health reports: downtime accounting, MTTR, availability.
 
-The serving engine feeds crash / slowdown / recovery transitions into a
-:class:`HealthMonitor` as they happen on the virtual clock; at the end
-of a run the monitor is finalized against the makespan and snapshotted
-into an immutable :class:`HealthReport` that rides inside the serving
-metrics.  MTTR is the mean of *completed* crash→recovery intervals;
-replica-level availability is uptime over replica-seconds.
+The cluster router records every board's up/down transitions on the
+virtual clock (:class:`~repro.cluster.router.BoardState`); at the end of
+a run :meth:`~repro.cluster.router.ClusterRouter.health_report`
+snapshots that ledger into an immutable :class:`HealthReport` that rides
+inside the serving metrics.  MTTR is the mean of *completed*
+down→up intervals; replica-level availability is uptime over
+replica-seconds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
-
-from repro.errors import FaultError
-from repro.trace.span import Tracer, as_tracer
 
 
 @dataclass(frozen=True)
@@ -123,142 +120,3 @@ class HealthReport:
                 f"{worst.describe()}"
             )
         return text
-
-
-class HealthMonitor:
-    """Track per-replica up/down transitions on the virtual clock.
-
-    With a ``tracer``, every *state-changing* transition also lands as a
-    ``health.down`` / ``health.up`` / ``health.slowdown`` instant on the
-    replica's track — the same guarded transitions MTTR is computed
-    from, so trace-derived MTTR reconciles with :class:`HealthReport`
-    exactly.
-    """
-
-    def __init__(self, replicas: Sequence[str],
-                 tracer: Tracer | None = None,
-                 domains: Mapping[str, str] | None = None):
-        if not replicas:
-            raise FaultError("health monitor needs at least one replica")
-        self.tracer = as_tracer(tracer)
-        self._down_since: dict[str, float | None] = {
-            name: None for name in replicas
-        }
-        self._downtime: dict[str, float] = {name: 0.0 for name in replicas}
-        self._repairs: list[float] = []
-        self._repairs_by: dict[str, list[float]] = {
-            name: [] for name in replicas
-        }
-        self._crashes_by: dict[str, int] = {name: 0 for name in replicas}
-        self._recoveries_by: dict[str, int] = {name: 0 for name in replicas}
-        self._dram_by: dict[str, int] = {name: 0 for name in replicas}
-        self._domains = dict(domains) if domains else {}
-        for name in self._domains:
-            if name not in self._down_since:
-                raise FaultError(
-                    "domain mapping names unmonitored replica", replica=name
-                )
-        self.crashes = 0
-        self.slowdowns = 0
-        self.recoveries = 0
-        self.dram_uncorrectable = 0
-
-    def _check(self, replica: str, at_s: float) -> None:
-        if replica not in self._down_since:
-            raise FaultError("unknown replica", replica=replica, at_s=at_s)
-
-    def is_down(self, replica: str) -> bool:
-        return self._down_since.get(replica) is not None
-
-    def record_crash(self, replica: str, at_s: float) -> None:
-        self._check(replica, at_s)
-        if self._down_since[replica] is None:
-            self._down_since[replica] = at_s
-            self.crashes += 1
-            self._crashes_by[replica] += 1
-            self.tracer.instant("health.down", at=at_s, track=replica)
-
-    def record_slowdown(self, replica: str, at_s: float) -> None:
-        self._check(replica, at_s)
-        self.slowdowns += 1
-        self.tracer.instant("health.slowdown", at=at_s, track=replica)
-
-    def record_dram_uncorrectable(self, replica: str, at_s: float) -> None:
-        """Count an ECC-escaping DRAM upset on ``replica``.
-
-        These never take the replica down — they corrupt results — so
-        they are tracked apart from the crash/slowdown transitions and
-        land as ``health.sdc_exposure`` instants.
-        """
-        self._check(replica, at_s)
-        self.dram_uncorrectable += 1
-        self._dram_by[replica] += 1
-        self.tracer.instant("health.sdc_exposure", at=at_s, track=replica)
-
-    def record_recovery(self, replica: str, at_s: float) -> None:
-        self._check(replica, at_s)
-        down_since = self._down_since[replica]
-        if down_since is not None:
-            self._repairs.append(at_s - down_since)
-            self._repairs_by[replica].append(at_s - down_since)
-            self._downtime[replica] += at_s - down_since
-            self._down_since[replica] = None
-            self.tracer.instant(
-                "health.up", at=at_s, track=replica,
-                repair_s=at_s - down_since,
-            )
-        self.recoveries += 1
-        self._recoveries_by[replica] += 1
-
-    def finalize(self, end_s: float, start_s: float = 0.0) -> HealthReport:
-        """Close open downtime intervals at ``end_s`` and snapshot.
-
-        ``start_s`` anchors the monitored span (e.g. a serving run's
-        first arrival) without shifting the recorded transitions.
-        """
-        downtime = dict(self._downtime)
-        for replica, down_since in self._down_since.items():
-            if down_since is not None and end_s > down_since:
-                downtime[replica] += end_s - down_since
-        mttr = sum(self._repairs) / len(self._repairs) \
-            if self._repairs else 0.0
-        span = max(end_s - start_s, 0.0)
-        return HealthReport(
-            n_replicas=len(downtime),
-            crashes=self.crashes,
-            slowdowns=self.slowdowns,
-            recoveries=self.recoveries,
-            mttr_s=mttr,
-            downtime_s=sum(downtime.values()),
-            span_s=span,
-            per_replica_downtime_s=downtime,
-            dram_uncorrectable=self.dram_uncorrectable,
-            per_domain=self._finalize_domains(downtime, span),
-        )
-
-    def _finalize_domains(
-        self, downtime: Mapping[str, float], span_s: float
-    ) -> dict[str, DomainHealth]:
-        """Roll per-replica accounting up to the configured domains."""
-        if not self._domains:
-            return {}
-        members: dict[str, list[str]] = {}
-        for replica, domain in self._domains.items():
-            members.setdefault(domain, []).append(replica)
-        out: dict[str, DomainHealth] = {}
-        for domain in sorted(members):
-            names = members[domain]
-            repairs = [
-                r for name in names for r in self._repairs_by[name]
-            ]
-            out[domain] = DomainHealth(
-                domain=domain,
-                n_members=len(names),
-                crashes=sum(self._crashes_by[n] for n in names),
-                recoveries=sum(self._recoveries_by[n] for n in names),
-                mttr_s=sum(repairs) / len(repairs) if repairs else 0.0,
-                downtime_s=sum(downtime[n] for n in names),
-                span_s=span_s,
-                dram_uncorrectable=sum(self._dram_by[n] for n in names),
-            )
-        return out

@@ -44,6 +44,7 @@ import numpy as np
 
 from repro.errors import IntegrityError, SimulationError
 from repro.fixedpoint import flip_int16_bit, flip_wrap48_bit, to_int16, wrap48
+from repro.sim.functional import check_layer_operands
 from repro.workloads.layers import ConvLayer, MatMulLayer
 
 #: ``(flat_index, bit)`` pairs, matching repro.sim.functional's injection.
@@ -385,35 +386,17 @@ def abft_layer_output(
 ) -> AbftResult:
     """ABFT dispatch matching :func:`~repro.sim.functional
     .golden_layer_output`, with the same shape validation."""
+    check_layer_operands(layer, weights, acts)
     weights = to_int16(weights)
     acts = to_int16(acts)
     if isinstance(layer, ConvLayer):
-        expected_w = (
-            layer.out_channels, layer.group_in_channels,
-            layer.kernel_h, layer.kernel_w,
-        )
-        expected_a = (layer.in_channels, layer.in_h, layer.in_w)
-        if weights.shape != expected_w or acts.shape != expected_a:
-            raise SimulationError(
-                f"layer {layer.name!r} expects W{expected_w}/act{expected_a}, "
-                f"got W{weights.shape}/act{acts.shape}"
-            )
         return abft_conv2d_int16(
             weights, acts, layer.stride, layer.padding, layer.groups,
             weight_flips=weight_flips, act_flips=act_flips,
             psum_flips=psum_flips,
         )
-    if isinstance(layer, MatMulLayer):
-        expected_w = (layer.out_features, layer.in_features)
-        expected_a = (layer.in_features, layer.batch)
-        if weights.shape != expected_w or acts.shape != expected_a:
-            raise SimulationError(
-                f"layer {layer.name!r} expects W{expected_w}/act{expected_a}, "
-                f"got W{weights.shape}/act{acts.shape}"
-            )
-        return abft_matmul_int16(
-            weights, acts,
-            weight_flips=weight_flips, act_flips=act_flips,
-            psum_flips=psum_flips,
-        )
-    raise SimulationError(f"no ABFT model for layer kind {layer.kind}")
+    return abft_matmul_int16(
+        weights, acts,
+        weight_flips=weight_flips, act_flips=act_flips,
+        psum_flips=psum_flips,
+    )

@@ -18,10 +18,10 @@ final aggregates:
 
 Instrumented layers: the compiler search (:mod:`repro.compiler.search`,
 :mod:`repro.compiler.cache`, :mod:`repro.compiler.hwsearch`), the
-serving engine (:mod:`repro.serving.engine`), and the fault machinery
-(:mod:`repro.faults.monitor`, :mod:`repro.faults.schedule`).  All of it
-is observation-only: running with tracing on reproduces the exact
-schedules, latencies, and metrics of a run with tracing off.
+serving loop (:mod:`repro.cluster.engine`, which also traces board
+health transitions), and fault generation (:mod:`repro.faults.schedule`).
+All of it is observation-only: running with tracing on reproduces the
+exact schedules, latencies, and metrics of a run with tracing off.
 """
 
 from repro.trace.export import chrome_trace, chrome_trace_json, prometheus_text

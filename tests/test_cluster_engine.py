@@ -6,11 +6,15 @@ import dataclasses
 
 from repro.cluster import (
     AutoscalePolicy,
+    Board,
     ClusterEngine,
+    ClusterRouter,
     CorrelatedDramFault,
     FleetService,
+    FleetTopology,
     NetworkHeal,
     NetworkPartition,
+    Rack,
     RackPowerLoss,
     RackPowerRestore,
     TenantPolicy,
@@ -29,7 +33,6 @@ from repro.faults import (
     TPEFault,
     generate_fault_schedule,
 )
-from repro.faults.monitor import HealthMonitor
 from repro.overlay.config import OverlayConfig
 from repro.serving.admission import AdmissionPolicy
 from repro.serving.batcher import BatchPolicy, BatchServiceModel
@@ -663,20 +666,20 @@ class TestDeterminism:
 
 
 class TestDomainHealthMonitor:
-    """Satellite: HealthMonitor rolls per-domain MTTR/availability into
-    its report when given a domain mapping."""
+    """Satellite: the router's ledger rolls per-rack MTTR/availability
+    into the health report for a fleet of two or more racks."""
 
     def test_per_domain_rollup(self):
-        monitor = HealthMonitor(
-            ["a", "b", "c"],
-            domains={"a": "rack0", "b": "rack0", "c": "rack1"},
-        )
-        monitor.record_crash("a", 1.0)
-        monitor.record_recovery("a", 3.0)
-        monitor.record_crash("b", 2.0)
-        monitor.record_recovery("b", 3.0)
-        monitor.record_dram_uncorrectable("c", 4.0)
-        report = monitor.finalize(10.0, 0.0)
+        router = ClusterRouter(FleetTopology(racks=(
+            Rack("rack0", (Board("a", "rack0"), Board("b", "rack0"))),
+            Rack("rack1", (Board("c", "rack1"),)),
+        )))
+        router.crash("a", 1.0)
+        router.recover("a", 3.0)
+        router.crash("b", 2.0)
+        router.recover("b", 3.0)
+        router.by_name("c").dram_uncorrectable += 1
+        report = router.health_report(10.0, 0.0)
         rack0 = report.per_domain["rack0"]
         assert rack0.crashes == 2 and rack0.recoveries == 2
         assert rack0.mttr_s == pytest.approx(1.5)
@@ -688,12 +691,8 @@ class TestDomainHealthMonitor:
         assert rack1.availability == 1.0
 
     def test_no_domains_no_rollup(self):
-        monitor = HealthMonitor(["a"])
-        monitor.record_crash("a", 1.0)
-        report = monitor.finalize(2.0, 0.0)
+        router = ClusterRouter(build_fleet(1, 1))
+        router.crash("rack0/b0", 1.0)
+        report = router.health_report(2.0, 0.0)
         assert report.per_domain == {}
         assert "domains" not in report.describe()
-
-    def test_unknown_domain_member_rejected(self):
-        with pytest.raises(FaultError):
-            HealthMonitor(["a"], domains={"zz": "rack0"})

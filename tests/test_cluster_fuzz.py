@@ -183,6 +183,15 @@ def test_every_draw_conserves_per_tenant(seed):
     assert {r.reject_reason for r in core.rejected} <= {
         REJECT_CAPACITY, REJECT_QUOTA,
     }
+    # A multi-rack fleet's per-rack health counts partition the fleet's.
+    health = core.health
+    if health is not None and topo.n_racks > 1:
+        domains = health.per_domain.values()
+        assert (
+            sum(d.crashes for d in domains),
+            sum(d.recoveries for d in domains),
+            sum(d.dram_uncorrectable for d in domains),
+        ) == (health.crashes, health.recoveries, health.dram_uncorrectable)
 
 
 @pytest.mark.parametrize("seed", [0, 3, 7, 11, 16])

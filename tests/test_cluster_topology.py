@@ -77,13 +77,6 @@ class TestFleetTopology:
         with pytest.raises(ServingError):
             build_fleet(1, 1).members("nope")
 
-    def test_domains_maps_board_to_rack(self):
-        fleet = build_fleet(2, 2)
-        assert fleet.domains() == {
-            "rack0/b0": "rack0", "rack0/b1": "rack0",
-            "rack1/b0": "rack1", "rack1/b1": "rack1",
-        }
-
     def test_describe(self):
         text = build_fleet(2, 3).describe()
         assert "6 boards" in text

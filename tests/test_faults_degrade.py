@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.errors import FaultError
+from repro.cluster import ClusterRouter, build_fleet
+from repro.errors import FaultError, ServingError
 from repro.faults import (
     FaultMask,
-    HealthMonitor,
     degraded_compile,
 )
 from repro.workloads.layers import MatMulLayer
@@ -77,62 +77,83 @@ class TestDegradedCompile:
         assert a == b
 
 
+def ledger(*names: str) -> ClusterRouter:
+    """A one-rack router over boards ``names``, for its health ledger."""
+    return ClusterRouter(build_fleet(1, len(names), board_names=names))
+
+
 class TestHealthMonitor:
+    """Health monitoring on the router's board ledger."""
+
     def test_mttr_over_completed_intervals(self):
-        mon = HealthMonitor(["a", "b"])
-        mon.record_crash("a", 1.0)
-        mon.record_recovery("a", 1.5)
-        mon.record_crash("b", 2.0)
-        mon.record_recovery("b", 2.1)
-        report = mon.finalize(end_s=3.0)
+        router = ledger("a", "b")
+        router.crash("a", 1.0)
+        router.recover("a", 1.5)
+        router.crash("b", 2.0)
+        router.recover("b", 2.1)
+        report = router.health_report(end_s=3.0, start_s=0.0)
         assert report.mttr_s == pytest.approx(0.3)  # mean(0.5, 0.1)
         assert report.downtime_s == pytest.approx(0.6)
         assert report.crashes == 2
         assert report.recoveries == 2
 
     def test_unrecovered_crash_counts_to_end(self):
-        mon = HealthMonitor(["a"])
-        mon.record_crash("a", 1.0)
-        report = mon.finalize(end_s=4.0)
+        router = ledger("a")
+        router.crash("a", 1.0)
+        report = router.health_report(end_s=4.0, start_s=0.0)
         assert report.mttr_s == 0.0  # no completed interval
         assert report.downtime_s == pytest.approx(3.0)
         assert report.per_replica_downtime_s["a"] == pytest.approx(3.0)
 
     def test_uptime_fraction(self):
-        mon = HealthMonitor(["a", "b"])
-        mon.record_crash("a", 0.0)
-        mon.record_recovery("a", 1.0)
-        report = mon.finalize(end_s=2.0)
+        router = ledger("a", "b")
+        router.crash("a", 0.0)
+        router.recover("a", 1.0)
+        report = router.health_report(end_s=2.0, start_s=0.0)
         # 1 of 4 replica-seconds down.
         assert report.uptime_fraction == pytest.approx(0.75)
 
     def test_double_crash_idempotent(self):
-        mon = HealthMonitor(["a"])
-        mon.record_crash("a", 1.0)
-        mon.record_crash("a", 1.2)  # already down: ignored
-        assert mon.crashes == 1
-        mon.record_recovery("a", 2.0)
-        assert mon.finalize(3.0).mttr_s == pytest.approx(1.0)
+        router = ledger("a")
+        assert router.crash("a", 1.0)
+        assert not router.crash("a", 1.2)  # already down: ignored
+        # A second gate closing on a down board is no new crash either.
+        assert router.power_down_rack("rack0", 1.3) == [
+            (router.by_name("a"), False)
+        ]
+        assert router.by_name("a").crashes == 1
+        router.power_up_rack("rack0", 1.5, cold_start_s=0.0)
+        assert router.recover("a", 2.0) == pytest.approx(1.0)
+        report = router.health_report(3.0, 0.0)
+        assert report.mttr_s == pytest.approx(1.0)
+        assert report.recoveries == 1
 
     def test_is_down_tracks_state(self):
-        mon = HealthMonitor(["a"])
-        assert not mon.is_down("a")
-        mon.record_crash("a", 0.5)
-        assert mon.is_down("a")
-        mon.record_recovery("a", 1.0)
-        assert not mon.is_down("a")
+        router = ledger("a")
+        board = router.by_name("a")
+        assert board.down_since is None
+        router.crash("a", 0.5)
+        assert board.down_since == 0.5
+        router.recover("a", 1.0)
+        assert board.down_since is None
+
+    def test_recovery_of_up_board_counts_without_repair(self):
+        router = ledger("a")
+        assert router.recover("a", 1.0) is None
+        report = router.health_report(2.0, 0.0)
+        assert report.recoveries == 1
+        assert report.mttr_s == 0.0 and report.downtime_s == 0.0
 
     def test_unknown_replica_rejected(self):
-        mon = HealthMonitor(["a"])
+        router = ledger("a")
         with pytest.raises(FaultError):
-            mon.record_crash("nope", 0.0)
+            router.crash("nope", 0.0)
 
     def test_empty_replicas_rejected(self):
-        with pytest.raises(FaultError):
-            HealthMonitor([])
+        with pytest.raises(ServingError):
+            ClusterRouter(build_fleet(1, 0))
 
     def test_start_anchors_span(self):
-        mon = HealthMonitor(["a"])
-        report = mon.finalize(end_s=5.0, start_s=2.0)
+        report = ledger("a").health_report(end_s=5.0, start_s=2.0)
         assert report.span_s == pytest.approx(3.0)
         assert report.uptime_fraction == 1.0

@@ -131,6 +131,41 @@ class TestEngineSemantics:
         with pytest.raises(ServingError):
             ServingEngine(StubService()).run([])
 
+    def test_served_list_refused_on_reuse(self):
+        engine = ServingEngine(
+            StubService(n_replicas=2),
+            BatchPolicy(max_batch=4, max_wait_s=1e-3),
+            AdmissionPolicy(capacity=8),
+        )
+        times = poisson_arrivals(12000.0, 120, seed=5)
+
+        def outcome(report):
+            return (
+                [(r.request_id, r.dispatch_s, r.complete_s, r.replica,
+                  r.attempts) for r in report.completed],
+                [r.request_id for r in report.rejected],
+                report.describe(),
+            )
+
+        requests = _requests(times)
+        first = engine.run(requests)
+        seen = outcome(first)
+        assert seen[1]  # the capacity bound rejected some arrivals
+        with pytest.raises(ServingError, match="request 0 "):
+            engine.run(requests)
+        # The refused rerun wrote nothing onto the first run's requests,
+        # and a fresh list serves exactly as the first one did.
+        assert outcome(first) == seen
+        assert outcome(engine.run(_requests(times))) == seen
+
+    @pytest.mark.parametrize("state", ["attempts", "drop_reason",
+                                       "reject_reason"])
+    def test_request_with_run_state_refused(self, state):
+        requests = _requests([0.0, 1.0])
+        setattr(requests[1], state, 1 if state == "attempts" else "x")
+        with pytest.raises(ServingError, match="request 1 "):
+            ServingEngine(StubService()).run(requests)
+
     def test_invalid_slo(self):
         for slo_s in (0.0, -1e-3, float("nan"), float("inf")):
             with pytest.raises(ServingError, match="slo_s"):

@@ -11,8 +11,8 @@ import pytest
 from repro.compiler.cache import ScheduleCache
 from repro.compiler.hwsearch import feasible_grids, search_hardware_config
 from repro.compiler.search import ScheduleSearch
-from repro.faults.monitor import HealthMonitor
-from repro.faults.schedule import generate_fault_schedule
+from repro.faults.events import ReplicaCrash, ReplicaRecovery
+from repro.faults.schedule import FaultSchedule, generate_fault_schedule
 from repro.serving.batcher import BatchPolicy
 from repro.serving.engine import ServingEngine
 from repro.serving.metrics import percentile
@@ -192,14 +192,18 @@ class TestServingReconciliation:
 
     def test_monitor_emits_only_state_changing_transitions(self):
         tracer = Tracer(unit="s")
-        monitor = HealthMonitor(["r0"], tracer=tracer)
-        monitor.record_crash("r0", 1.0)
-        monitor.record_crash("r0", 2.0)   # already down: no new instant
-        monitor.record_recovery("r0", 3.0)
-        monitor.record_recovery("r0", 4.0)  # already up: no new instant
-        names = [i.name for i in tracer.instants]
-        assert names == ["health.down", "health.up"]
-        assert tracer.instants[1].args["repair_s"] == 2.0
+        schedule = FaultSchedule(events=(
+            ReplicaCrash(1.0, "fuzz0"),
+            ReplicaCrash(2.0, "fuzz0"),     # already down: no new instant
+            ReplicaRecovery(3.0, "fuzz0"),
+            ReplicaRecovery(4.0, "fuzz0"),  # already up: no new instant
+        ))
+        ServingEngine(
+            FuzzService(1, 1e-3), fault_schedule=schedule, tracer=tracer,
+        ).run(make_requests([0.0, 5.0], "fuzz"))
+        health = [i for i in tracer.instants if i.name.startswith("health.")]
+        assert [i.name for i in health] == ["health.down", "health.up"]
+        assert health[1].args["repair_s"] == 2.0
 
 
 class TestZeroCostDisabled:
