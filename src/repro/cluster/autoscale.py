@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from repro.cluster.router import ClusterRouter
 from repro.errors import ServingError
-from repro.serving.request import require_finite
+from repro.serving.request import require_count, require_finite
 from repro.trace.metrics import MetricsRegistry
 
 #: Gauge names the engine publishes and the autoscaler consumes.
@@ -94,24 +94,13 @@ class AutoscalePolicy:
                 raise ServingError(
                     f"p99_high_s must be positive, got {self.p99_high_s}"
                 )
-        if self.min_active < 1:
-            raise ServingError(
-                f"min_active must be >= 1, got {self.min_active}"
-            )
-        if self.max_active is not None \
-                and self.max_active < self.min_active:
-            raise ServingError(
-                f"max_active ({self.max_active}) must be >= min_active "
-                f"({self.min_active})"
-            )
-        if self.max_step < 1:
-            raise ServingError(
-                f"max_step must be >= 1, got {self.max_step}"
-            )
-        if self.cooldown_ticks < 0:
-            raise ServingError(
-                f"cooldown_ticks must be >= 0, got {self.cooldown_ticks}"
-            )
+        require_count("min_active", self.min_active)
+        if self.max_active is not None:
+            # Never below min_active: the scaler could not honour both.
+            require_count("max_active", self.max_active,
+                          minimum=self.min_active)
+        require_count("max_step", self.max_step)
+        require_count("cooldown_ticks", self.cooldown_ticks, minimum=0)
 
 
 class Autoscaler:

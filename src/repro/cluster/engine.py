@@ -609,7 +609,8 @@ class ClusterEngine:
                 degraded = admission.degraded(queue.depth, fault_pressure)
                 if not queue.ready(now, degraded=degraded):
                     break
-                if router.free_board(now) is None:
+                board = router.free_board(now)
+                if board is None:
                     break
                 if degraded:
                     degraded_dispatches += 1
@@ -618,8 +619,9 @@ class ClusterEngine:
                     last_failed[r.request_id] for r in batch.requests
                     if r.request_id in last_failed
                 ) if self.hedge_retries else frozenset()
-                board = router.free_board(now, avoid)
-                assert board is not None  # a free board existed above
+                if avoid:
+                    board = router.free_board(now, avoid)
+                    assert board is not None  # a free board existed above
                 if avoid and board.name not in avoid:
                     hedged_dispatches += 1
                     tracer.instant(

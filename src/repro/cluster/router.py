@@ -11,6 +11,12 @@ eligible for new work — only when every gate is open:
 * warm         — past its ``warm_at_s`` cold-start gate (weights
   loaded after power restore or autoscale activation).
 
+The four gates are written only by the router's gate methods, which
+keep each board's stored ``routable`` flag current, so placement reads
+plain fields: ``free_board`` and ``next_free_s`` cost one pass over
+the fleet's flags and free/warm instants per call, with no per-board
+method calls.
+
 Any gate closing *drains* the board (new work stops instantly; a
 power/partition/crash closure also aborts in-flight batches into the
 retry path); the gate re-opening re-admits it automatically.  Placement
@@ -57,6 +63,11 @@ class BoardState:
     down still counts); ``slowdowns`` and ``dram_uncorrectable`` count
     the slowdowns it took while healthy and the DRAM upsets that escaped
     ECC on it (those corrupt results but never take a board down).
+
+    ``routable`` is stored: it holds :meth:`gates_open` as of the last
+    gate write.  Write ``healthy``/``powered``/``reachable``/``active``
+    only through the :class:`ClusterRouter` gate methods, which refresh
+    it.
     """
 
     name: str
@@ -76,9 +87,9 @@ class BoardState:
     recoveries: int = 0
     slowdowns: int = 0
     dram_uncorrectable: int = 0
+    routable: bool = True
 
-    @property
-    def routable(self) -> bool:
+    def gates_open(self) -> bool:
         """Whether the router may place new work here (gates only —
         the warm-up and busy checks are time-dependent)."""
         return (self.healthy and self.powered and self.reachable
@@ -158,7 +169,8 @@ class ClusterRouter:
         """
         fallback = None
         for board in self.boards:
-            if board.routable and board.effective_free_s() <= now_s:
+            if (board.routable and board.free_at_s <= now_s
+                    and board.warm_at_s <= now_s):
                 if board.name not in avoid:
                     return board
                 if fallback is None:
@@ -167,10 +179,12 @@ class ClusterRouter:
 
     def next_free_s(self) -> float:
         """Earliest instant a routable board frees (inf if none)."""
-        return min(
-            (b.effective_free_s() for b in self.boards if b.routable),
-            default=math.inf,
-        )
+        earliest = math.inf
+        for board in self.boards:
+            if (board.routable and board.free_at_s < earliest
+                    and board.warm_at_s < earliest):
+                earliest = max(board.free_at_s, board.warm_at_s)
+        return earliest
 
     def standby_boards(self) -> list[BoardState]:
         """Inactive boards the autoscaler could activate, fleet order."""
@@ -210,7 +224,7 @@ class ClusterRouter:
         board = self.by_name(name)
         if not board.healthy:
             return False
-        board.healthy = False
+        _set_gate(board, "healthy", False)
         return self._closed(board, now_s)
 
     def recover(self, name: str, now_s: float) -> float | None:
@@ -218,7 +232,7 @@ class ClusterRouter:
         repair seconds when this brought the board back up."""
         board = self.by_name(name)
         if not board.healthy:
-            board.healthy = True
+            _set_gate(board, "healthy", True)
             board.free_at_s = max(board.free_at_s, now_s)
         board.slow_factor = 1.0
         return self._reopened(board, now_s)
@@ -231,7 +245,7 @@ class ClusterRouter:
         struck = []
         for board in self.rack_boards(rack):
             if board.powered:
-                board.powered = False
+                _set_gate(board, "powered", False)
                 struck.append((board, self._closed(board, now_s)))
         return struck
 
@@ -244,7 +258,7 @@ class ClusterRouter:
         restored = []
         for board in self.rack_boards(rack):
             if not board.powered:
-                board.powered = True
+                _set_gate(board, "powered", True)
                 board.free_at_s = max(board.free_at_s, now_s)
                 board.warm_at_s = now_s + cold_start_s
                 restored.append((board, self._reopened(board, now_s)))
@@ -258,7 +272,7 @@ class ClusterRouter:
         struck = []
         for board in self.rack_boards(rack):
             if board.reachable:
-                board.reachable = False
+                _set_gate(board, "reachable", False)
                 struck.append((board, self._closed(board, now_s)))
         return struck
 
@@ -270,7 +284,7 @@ class ClusterRouter:
         healed = []
         for board in self.rack_boards(rack):
             if not board.reachable:
-                board.reachable = True
+                _set_gate(board, "reachable", True)
                 board.free_at_s = max(board.free_at_s, now_s)
                 healed.append((board, self._reopened(board, now_s)))
         return healed
@@ -281,7 +295,7 @@ class ClusterRouter:
         """Autoscale a standby board in (pays the cold start)."""
         board = self.by_name(name)
         if not board.active:
-            board.active = True
+            _set_gate(board, "active", True)
             board.free_at_s = max(board.free_at_s, now_s)
             board.warm_at_s = now_s + cold_start_s
         return board
@@ -289,7 +303,7 @@ class ClusterRouter:
     def deactivate(self, name: str) -> BoardState:
         """Autoscale a board out: no new work, in-flight completes."""
         board = self.by_name(name)
-        board.active = False
+        _set_gate(board, "active", False)
         return board
 
     # ---------------------------------------------------------- dispatch
@@ -382,6 +396,13 @@ class ClusterRouter:
             dram_uncorrectable=sum(b.dram_uncorrectable for b in self.boards),
             per_domain=per_domain,
         )
+
+
+def _set_gate(board: BoardState, gate: str, is_open: bool) -> None:
+    """Write one of ``board``'s four gates and refresh its stored
+    ``routable`` flag: the only way the router changes a gate."""
+    setattr(board, gate, is_open)
+    board.routable = board.gates_open()
 
 
 def _mean(values: list[float]) -> float:

@@ -27,7 +27,7 @@ from typing import Mapping
 
 from repro.errors import ServingError
 from repro.serving.batcher import Batch, BatchPolicy
-from repro.serving.request import InferenceRequest
+from repro.serving.request import InferenceRequest, require_count
 
 
 @dataclass(frozen=True)
@@ -56,10 +56,7 @@ class TenantPolicy:
                     f"got {weight}"
                 )
         for tenant, quota in self.quotas.items():
-            if quota < 1:
-                raise ServingError(
-                    f"tenant {tenant!r} quota must be >= 1, got {quota}"
-                )
+            require_count(f"tenant {tenant!r} quota", quota)
         if not math.isfinite(self.default_weight) \
                 or self.default_weight <= 0:
             raise ServingError(
@@ -80,59 +77,77 @@ class TenantQueueSet:
     Mirrors the :class:`~repro.serving.batcher.Batcher` interface
     (``ready`` / ``next_deadline`` / ``next_expiry_s`` / ``expire`` /
     ``pop`` / ``pop_all``), plus per-tenant depth accounting for quota
-    admission.  Request deadlines are tracked in a lazy min-heap, so
-    the per-iteration expiry probe is O(1) instead of an O(depth) scan
-    — at fleet scale the queue can hold thousands of requests.
+    admission.
+
+    Request deadlines live in a min-heap keyed by push: ``expire`` pops
+    exactly the requests whose deadline has passed, so shedding ``k``
+    requests costs O(k log depth) however deep the queue is, and the
+    probe of a queue with nothing to shed is O(1) amortized.  A shed
+    request stays in its tenant's deque as a dead entry until it
+    reaches the head; every deque's head is kept live, so ``pop`` and
+    ``next_deadline`` only ever see queued requests.  An entry is live
+    only while it belongs to its request's *current* push: a retried
+    request is pushed again under the same id.
     """
 
     def __init__(self, batch_policy: BatchPolicy, tenants: TenantPolicy):
         self.batch_policy = batch_policy
         self.tenants = tenants
-        self._queues: dict[str, deque[InferenceRequest]] = {}
+        #: Tenant → (push seq, request) entries in push order; tenants
+        #: in first-push order.
+        self._queues: dict[str, deque[tuple[int, InferenceRequest]]] = {}
+        self._rank: dict[str, int] = {}
+        self._live: dict[str, int] = {}
         self._pass: dict[str, float] = {}
         self._vtime = 0.0
-        self._depth = 0
-        self._deadline_heap: list[tuple[float, int]] = []
-        self._queued_ids: set[int] = set()
+        self._seq = 0
+        #: request_id → push seq of every queued request (the live set).
+        self._queued: dict[int, int] = {}
+        self._deadline_heap: list[tuple[float, int, InferenceRequest]] = []
 
     def __len__(self) -> int:
-        return self._depth
+        return len(self._queued)
 
     @property
     def depth(self) -> int:
-        return self._depth
+        return len(self._queued)
 
     def tenant_depth(self, tenant: str) -> int:
-        queue = self._queues.get(tenant)
-        return len(queue) if queue is not None else 0
+        return self._live.get(tenant, 0)
 
     def push(self, request: InferenceRequest) -> None:
         tenant = request.tenant
         queue = self._queues.get(tenant)
         if queue is None:
             queue = self._queues[tenant] = deque()
+            self._rank[tenant] = len(self._rank)
+            self._live[tenant] = 0
             self._pass[tenant] = self._vtime
         elif not queue:
             # Reactivation: a tenant that went idle must not bank its
             # stale (low) pass into a burst — catch up to virtual time.
             self._pass[tenant] = max(self._pass[tenant], self._vtime)
-        queue.append(request)
-        self._depth += 1
-        self._queued_ids.add(request.request_id)
+        self._seq += 1
+        queue.append((self._seq, request))
+        self._live[tenant] += 1
+        self._queued[request.request_id] = self._seq
         if request.deadline_s is not None:
             heapq.heappush(
                 self._deadline_heap,
-                (request.deadline_at_s, request.request_id),
+                (request.deadline_at_s, self._seq, request),
             )
 
-    def _active(self) -> list[tuple[str, deque[InferenceRequest]]]:
-        return [(t, q) for t, q in self._queues.items() if q]
+    def _trim(self, queue: deque[tuple[int, InferenceRequest]]) -> None:
+        """Drop dead entries off the head of ``queue``."""
+        queued = self._queued
+        while queue and queued.get(queue[0][1].request_id) != queue[0][0]:
+            queue.popleft()
 
     def ready(self, now_s: float, degraded: bool = False) -> bool:
         """Whether a batch should launch at ``now_s`` (Batcher semantics)."""
-        if not self._depth:
+        if not self._queued:
             return False
-        if degraded or self._depth >= self.batch_policy.max_batch:
+        if degraded or len(self._queued) >= self.batch_policy.max_batch:
             return True
         return now_s >= self.next_deadline()
 
@@ -142,37 +157,35 @@ class TenantQueueSet:
         Raises:
             ServingError: if every queue is empty.
         """
-        heads = self._active()
-        if not heads:
+        if not self._queued:
             raise ServingError("tenant queues are empty")
-        oldest = min(q[0].arrival_s for _, q in heads)
+        oldest = min(q[0][1].arrival_s for q in self._queues.values() if q)
         return oldest + self.batch_policy.max_wait_s
 
     def next_expiry_s(self) -> float:
         """Earliest queued request deadline (inf when none)."""
-        heap = self._deadline_heap
-        while heap and heap[0][1] not in self._queued_ids:
+        heap, queued = self._deadline_heap, self._queued
+        while heap and queued.get(heap[0][2].request_id) != heap[0][1]:
             heapq.heappop(heap)
         return heap[0][0] if heap else math.inf
 
     def expire(self, now_s: float) -> list[InferenceRequest]:
-        """Remove and return queued requests whose deadline passed."""
-        if self.next_expiry_s() > now_s:
+        """Remove and return queued requests whose deadline passed, in
+        tenant first-push order, then queue order."""
+        heap, queued = self._deadline_heap, self._queued
+        expired: list[tuple[int, int, InferenceRequest]] = []
+        while heap and heap[0][0] <= now_s:
+            _, seq, request = heapq.heappop(heap)
+            if queued.get(request.request_id) == seq:
+                del queued[request.request_id]
+                self._live[request.tenant] -= 1
+                expired.append((self._rank[request.tenant], seq, request))
+        if not expired:
             return []
-        expired: list[InferenceRequest] = []
-        for tenant, queue in self._queues.items():
-            if not queue:
-                continue
-            kept: deque[InferenceRequest] = deque()
-            for request in queue:
-                if request.expired(now_s):
-                    expired.append(request)
-                    self._queued_ids.discard(request.request_id)
-                    self._depth -= 1
-                else:
-                    kept.append(request)
-            self._queues[tenant] = kept
-        return expired
+        expired.sort()  # push seqs are unique: requests never compare
+        for tenant in {request.tenant for _, _, request in expired}:
+            self._trim(self._queues[tenant])
+        return [request for _, _, request in expired]
 
     def pop(self, now_s: float) -> Batch:
         """Form a batch of up to ``max_batch`` stride-scheduled requests.
@@ -180,17 +193,19 @@ class TenantQueueSet:
         Raises:
             ServingError: if every queue is empty.
         """
-        if not self._depth:
+        if not self._queued:
             raise ServingError("tenant queues are empty")
         taken: list[InferenceRequest] = []
-        while self._depth and len(taken) < self.batch_policy.max_batch:
+        while self._queued and len(taken) < self.batch_policy.max_batch:
             tenant = min(
                 (t for t, q in self._queues.items() if q),
                 key=lambda t: (self._pass[t], t),
             )
-            request = self._queues[tenant].popleft()
-            self._depth -= 1
-            self._queued_ids.discard(request.request_id)
+            queue = self._queues[tenant]
+            _, request = queue.popleft()
+            del self._queued[request.request_id]
+            self._live[tenant] -= 1
+            self._trim(queue)
             taken.append(request)
             self._vtime = self._pass[tenant]
             self._pass[tenant] += 1.0 / self.tenants.weight(tenant)
@@ -198,10 +213,16 @@ class TenantQueueSet:
 
     def pop_all(self) -> list[InferenceRequest]:
         """Drain everything (used to strand-drop unreachable work)."""
-        drained: list[InferenceRequest] = []
-        for queue in self._queues.values():
-            drained.extend(queue)
+        queued = self._queued
+        drained = [
+            request
+            for queue in self._queues.values()
+            for seq, request in queue
+            if queued.get(request.request_id) == seq
+        ]
+        for tenant, queue in self._queues.items():
             queue.clear()
-        self._depth = 0
-        self._queued_ids.clear()
+            self._live[tenant] = 0
+        queued.clear()
+        self._deadline_heap.clear()
         return drained

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ServingError
+from repro.serving.request import require_count
 
 
 @dataclass(frozen=True)
@@ -32,8 +33,7 @@ class AdmissionPolicy:
     degrade_watermark: float = 0.75
 
     def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise ServingError(f"capacity must be >= 1, got {self.capacity}")
+        require_count("capacity", self.capacity)
         if not 0.0 < self.degrade_watermark <= 1.0:
             raise ServingError(
                 f"degrade_watermark must be in (0, 1], got "

@@ -26,7 +26,11 @@ from dataclasses import dataclass, replace
 from repro.compiler.cache import ScheduleCache
 from repro.errors import ServingError
 from repro.overlay.config import OverlayConfig
-from repro.serving.request import InferenceRequest, require_finite
+from repro.serving.request import (
+    InferenceRequest,
+    require_count,
+    require_finite,
+)
 from repro.units import BYTES_PER_WORD
 from repro.workloads.layers import LayerKind, MatMulLayer
 from repro.workloads.network import Network
@@ -47,8 +51,7 @@ class BatchPolicy:
     max_wait_s: float = 5e-3
 
     def __post_init__(self) -> None:
-        if self.max_batch < 1:
-            raise ServingError(f"max_batch must be >= 1, got {self.max_batch}")
+        require_count("max_batch", self.max_batch)
         require_finite("max_wait_s", self.max_wait_s)
         if self.max_wait_s < 0:
             raise ServingError(

@@ -11,12 +11,15 @@ inputs always reproduce identical metrics.
 Every numeric knob is validated as *finite*: a NaN rate or wait silently
 poisons every downstream comparison (NaN compares false against
 everything), so the generators and policies reject non-finite inputs
-loudly instead.
+loudly instead.  Count knobs (batch sizes, queue bounds, attempt
+budgets) must be integers: a fractional ``max_batch`` would form batches
+one larger than asked, and a NaN one fails only mid-run.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -33,6 +36,21 @@ def require_finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise ServingError(f"{name} must be finite, got {value}")
     return value
+
+
+def require_count(name: str, value: int, minimum: int = 1) -> None:
+    """Reject a count knob that is not an integer ``>= minimum``.
+
+    Raises:
+        ServingError: for a bool, a non-integer (including NaN and
+            integral floats such as ``8.0``) or a value below
+            ``minimum``.
+    """
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < minimum):
+        raise ServingError(
+            f"{name} must be an integer >= {minimum}, got {value!r}"
+        )
 
 
 #: Drop reasons the serving loop stamps on ``InferenceRequest.drop_reason``.
@@ -142,10 +160,7 @@ class RetryPolicy:
     backoff_cap_s: float = 16e-3
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ServingError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
+        require_count("max_attempts", self.max_attempts)
         require_finite("backoff_base_s", self.backoff_base_s)
         require_finite("backoff_cap_s", self.backoff_cap_s)
         if self.backoff_base_s < 0 or self.backoff_cap_s < 0:

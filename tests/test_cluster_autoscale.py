@@ -26,7 +26,7 @@ def fleet_router(n_boards=4, active=None) -> ClusterRouter:
     router = ClusterRouter(build_fleet(1, n_boards))
     if active is not None:
         for board in router.boards[active:]:
-            board.active = False
+            router.deactivate(board.name)
     return router
 
 
@@ -44,6 +44,16 @@ class TestAutoscalePolicy:
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ServingError):
+            AutoscalePolicy(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(min_active=math.nan),
+        dict(max_active=math.nan),
+        dict(max_step=1.5),
+        dict(cooldown_ticks=math.nan),
+    ])
+    def test_non_integer_counts_rejected(self, kwargs):
+        with pytest.raises(ServingError, match="must be an integer"):
             AutoscalePolicy(**kwargs)
 
     def test_defaults_valid(self):

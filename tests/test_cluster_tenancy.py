@@ -44,6 +44,12 @@ class TestTenantPolicy:
         with pytest.raises(ServingError):
             TenantPolicy(quotas={"t": 0})
 
+    @pytest.mark.parametrize("quota", [math.nan, 8.5])
+    def test_non_integer_quota_rejected(self, quota):
+        # A NaN quota used to admit without bound.
+        with pytest.raises(ServingError, match="quota must be an integer"):
+            TenantPolicy(quotas={"t": quota})
+
     def test_invalid_default_weight(self):
         with pytest.raises(ServingError):
             TenantPolicy(default_weight=0.0)

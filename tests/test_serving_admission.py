@@ -11,6 +11,12 @@ class TestAdmissionPolicy:
         with pytest.raises(ServingError):
             AdmissionPolicy(capacity=0)
 
+    @pytest.mark.parametrize("capacity", [float("nan"), 10.5, 256.0])
+    def test_non_integer_capacity_rejected(self, capacity):
+        # A NaN capacity used to reject every arrival silently.
+        with pytest.raises(ServingError, match="capacity must be an integer"):
+            AdmissionPolicy(capacity=capacity)
+
     @pytest.mark.parametrize("watermark", [0.0, -0.5, 1.5])
     def test_invalid_watermark(self, watermark):
         with pytest.raises(ServingError):

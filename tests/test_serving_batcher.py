@@ -1,5 +1,8 @@
 """Dynamic batching policy and the batch → service-time model."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.compiler.cache import ScheduleCache
@@ -22,6 +25,15 @@ class TestBatchPolicy:
     def test_invalid_max_batch(self):
         with pytest.raises(ServingError):
             BatchPolicy(max_batch=0)
+
+    @pytest.mark.parametrize("max_batch", [2.5, math.nan, 8.0, True, "8"])
+    def test_non_integer_max_batch_rejected(self, max_batch):
+        # 2.5 used to form batches of 3; NaN failed only mid-run.
+        with pytest.raises(ServingError, match="max_batch must be an integer"):
+            BatchPolicy(max_batch=max_batch)
+
+    def test_numpy_integer_max_batch_accepted(self):
+        assert BatchPolicy(max_batch=np.int64(4)).max_batch == 4
 
     def test_invalid_wait(self):
         with pytest.raises(ServingError):

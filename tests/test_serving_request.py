@@ -165,6 +165,12 @@ class TestRetryPolicy:
         with pytest.raises(ServingError):
             RetryPolicy(**kwargs)
 
+    @pytest.mark.parametrize("max_attempts", [math.nan, 2.5, False])
+    def test_non_integer_max_attempts_rejected(self, max_attempts):
+        with pytest.raises(ServingError,
+                           match="max_attempts must be an integer"):
+            RetryPolicy(max_attempts=max_attempts)
+
     def test_backoff_needs_failed_attempt(self):
         with pytest.raises(ServingError):
             RetryPolicy().backoff_s(0)
