@@ -29,16 +29,21 @@ Enumeration strategy (kept exhaustive over the *structured* space):
 Candidates are priced in one pass over every spatial choice:
 :meth:`ScheduleSearch._price` applies the integer ceil-divisions and
 float operations of :func:`repro.compiler.model.evaluate_mapping` to
-int64 columns, so every price is bit-identical to the scalar model.  The
-top-k heap stays exact by replaying only the entries at or above its
-floor (see :meth:`ScheduleSearch._offer`).  The winners are
-re-materialized as full :class:`MappingVectors` and re-priced by the
-authoritative model, which also re-checks every constraint.
+int64 columns, so every price is bit-identical to the scalar model.
+
+Ranking: every candidate ranks by ``(objective key, evaluation index)``,
+largest first, where the key is ``(-c_exe, e_wbuf)`` for Objective 1 and
+``(score, -c_exe)`` for Objective 2, and the evaluation index counts
+candidates in spatial-choice order, then combo order.  A later-evaluated
+candidate therefore wins an exact tie, and the top-k list is the sorted
+prefix of that one total order: ``run()[:j]`` of a top-k search is the
+top-j search's result.  The winners are re-materialized as full
+:class:`MappingVectors` and re-priced by the authoritative model, which
+also re-checks every constraint.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
@@ -667,64 +672,34 @@ class ScheduleSearch:
         score = self._c_min / c_exe + e_wbuf
         return c_exe, e_wbuf, score
 
-    def _offer(
-        self,
-        heap: list,
-        major: np.ndarray,
-        minor: np.ndarray,
-        first: int,
-        payload: tuple,
-    ) -> None:
-        """Feed the keys of one spatial choice's candidates into the heap.
-
-        The heap ends up exactly as if every row had gone through
-        ``heappush`` / ``heappushpop`` one at a time, with the global
-        evaluation index ``first + row`` as the tie-breaking counter.
-        Once the heap is full, a row whose key is below the floor
-        ``heap[0]`` would be handed straight back by ``heappushpop``;
-        the floor never decreases, so only rows at or above the floor
-        at the start of the call are replayed.
-        """
-        start = 0
-        if len(heap) < self.top_k:
-            start = min(len(major), self.top_k - len(heap))
-            for row, key in enumerate(
-                zip(major[:start].tolist(), minor[:start].tolist())
-            ):
-                heapq.heappush(heap, (key, first + row, payload, row))
-        if start < len(major):
-            floor_major, floor_minor = heap[0][0]
-            tail_major, tail_minor = major[start:], minor[start:]
-            rows = start + np.flatnonzero(
-                (tail_major > floor_major)
-                | ((tail_major == floor_major) & (tail_minor >= floor_minor))
-            )
-            for row, key in zip(
-                rows.tolist(),
-                zip(major[rows].tolist(), minor[rows].tolist()),
-            ):
-                heapq.heappushpop(heap, (key, first + row, payload, row))
-
     def _evaluate(
         self,
-        heap: list,
         spatials: np.ndarray,
         table: _ComboTable,
         which: np.ndarray,
-    ) -> None:
-        """Price every spatial choice's combos and feed them to the heap.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Price every spatial choice's combos and keep the best ``top_k``.
 
         Choice ``s`` is priced against the combos of remainder
         ``which[s]``, and its candidates take the evaluation indices
-        right after those of choice ``s - 1``.  Up to about
-        :data:`_PRICE_ROWS` candidates are priced per pass; they are then
-        offered choice by choice, in order.  A choice with more combos
-        than that is priced alone, on a view of its slice of the table.
+        right after those of choice ``s - 1``.  Candidates rank by
+        ``(objective key, evaluation index)``, largest first.  Up to
+        about :data:`_PRICE_ROWS` candidates are priced per pass and
+        join the kept ones; one lexsort over those that reach the
+        ``top_k``-th largest major key keeps the best ``top_k``.  A
+        choice with more combos than that is priced alone, on a view of
+        its slice of the table.
+
+        Returns the spatial choice and table row of each kept
+        candidate, best first.
         """
         lengths = np.diff(table.offsets)[which]
         starts = np.cumsum(lengths) - lengths
         firsts = table.offsets[which].tolist()
-        lo = evaluated = 0
+        # (major key, minor key, evaluation index) of the kept
+        # candidates, best first.
+        kept = None
+        lo = 0
         while lo < len(which):
             cap = starts[lo] + _PRICE_ROWS
             hi = max(lo + 1, int(np.searchsorted(starts, cap)))
@@ -739,24 +714,33 @@ class ScheduleSearch:
                 major, minor = -c_exe, e_wbuf
             else:
                 major, minor = score, -c_exe
-            a = 0
-            ends = np.cumsum(lengths[lo:hi]).tolist()
-            for choice, b in zip(range(lo, hi), ends):
-                self._offer(heap, major[a:b], minor[a:b], evaluated + a,
-                            (choice, firsts[choice]))
-                a = b
-            evaluated += a
+            ranked = (major, minor, starts[lo] + np.arange(len(c_exe)))
+            if kept is not None:
+                ranked = tuple(map(np.concatenate, zip(kept, ranked)))
+            if len(ranked[0]) > self.top_k:
+                # At least top_k rows reach the top_k-th largest major
+                # key, so no row below it can rank in the top k.
+                kth = np.partition(ranked[0], -self.top_k)[-self.top_k]
+                ranked = tuple(column[ranked[0] >= kth] for column in ranked)
+            order = np.lexsort(ranked[::-1])[::-1][: self.top_k]
+            kept = tuple(column[order] for column in ranked)
             lo = hi
+        evaluated = int(lengths.sum())
         self.candidates_evaluated += evaluated
         self.steps += evaluated
+        # Every choice has at least one combo, so evaluation index e
+        # belongs to the last choice whose first index is <= e.
+        index = kept[2]
+        choices = np.searchsorted(starts, index, side="right") - 1
+        return choices, table.offsets[which[choices]] + index - starts[choices]
 
     # ------------------------------------------------------------------ #
     def run(self) -> list[Schedule]:
         """Execute the search; returns top-k schedules, best first.
 
         Raises:
-            ScheduleError: if no feasible mapping exists (e.g. buffers too
-                small for any tile of this layer).
+            ScheduleError: if the winner fails the constraint re-check,
+                i.e. no feasible mapping exists.
         """
         tracer = self.tracer
         depth0 = tracer.open_depth
@@ -780,8 +764,6 @@ class ScheduleSearch:
             self._mirror_metrics(snapshot)
 
     def _run_traced(self, tracer: Tracer) -> list[Schedule]:
-        heap: list[tuple[tuple, int, tuple, int]] = []
-
         span = tracer.begin("spatial", at=self._now(), track="search")
         spatials = self._spatial_choices()
         tracer.end(self._now(), span)
@@ -794,22 +776,15 @@ class ScheduleSearch:
         which = which.reshape(-1)
         self.temporal_memo_hits += len(rems) - len(distinct)
         table = self._combo_tables(distinct)
-        self._evaluate(heap, spatials, table, which)
+        choices, rows = self._evaluate(spatials, table, which)
         tracer.end(self._now(), span)
 
-        if not heap:
-            raise ScheduleError(
-                f"no feasible schedule for layer {self.layer.name!r} on "
-                f"({self.config.d1}, {self.config.d2}, {self.config.d3})"
-            )
-
         span = tracer.begin("materialize", at=self._now(), track="search")
-        results = sorted(heap, key=lambda item: tuple(-v for v in item[0]))
         schedules = [
             self._materialize(
-                spatials[choice], distinct[which[choice]], table, first + row
+                spatials[choice], distinct[which[choice]], table, row
             )
-            for _, _, (choice, first), row in results
+            for choice, row in zip(choices.tolist(), rows.tolist())
         ]
         tracer.end(self._now(), span)
 
