@@ -60,9 +60,10 @@ class CacheStats:
     persistent_hits: int = 0
     #: Store lookups that found nothing (or a corrupt entry).
     persistent_misses: int = 0
-    #: Entries written back to the persistent store.
+    #: Entries this cache wrote to the persistent store.
     persistent_stores: int = 0
-    #: Corrupt / stale entries detected and skipped.
+    #: Corrupt / stale entries detected and skipped (subset of
+    #: persistent_misses).
     persistent_corrupt: int = 0
     #: Whether a persistent store is attached at all.
     has_store: bool = False
@@ -157,7 +158,11 @@ class ScheduleCache:
         self.misses = 0
         self.hits = 0
         self.evictions = 0
+        # Disk counters are this cache's own: a store may be shared.
         self.persistent_hits = 0
+        self.persistent_misses = 0
+        self.persistent_stores = 0
+        self.persistent_corrupt = 0
 
     def __len__(self) -> int:
         return len(self._cache)
@@ -197,7 +202,9 @@ class ScheduleCache:
         if self.store is None:
             return False
         loaded = self.store.load(layer, self.config, self.objective)
-        if loaded is None:
+        if loaded is None or loaded == self.store.CORRUPT:
+            self.persistent_misses += 1
+            self.persistent_corrupt += loaded is not None
             return False
         schedule, steps = loaded
         self._step_base += steps
@@ -249,12 +256,12 @@ class ScheduleCache:
         self._insert(key, schedule)
         if self.store is not None:
             self.store.save(schedule, steps=search.steps)
+            self.persistent_stores += 1
         return schedule
 
     # ------------------------------------------------------------------ #
     def stats(self) -> CacheStats:
         """Snapshot the hit/miss/eviction counters."""
-        store = self.store
         return CacheStats(
             hits=self.hits,
             misses=self.misses,
@@ -262,10 +269,10 @@ class ScheduleCache:
             size=len(self._cache),
             max_entries=self.max_entries,
             persistent_hits=self.persistent_hits,
-            persistent_misses=store.misses if store is not None else 0,
-            persistent_stores=store.stores if store is not None else 0,
-            persistent_corrupt=store.corrupt if store is not None else 0,
-            has_store=store is not None,
+            persistent_misses=self.persistent_misses,
+            persistent_stores=self.persistent_stores,
+            persistent_corrupt=self.persistent_corrupt,
+            has_store=self.store is not None,
         )
 
     def describe(self) -> str:

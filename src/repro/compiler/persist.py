@@ -13,8 +13,10 @@ schedule a fresh search would return — or it is rejected.
 Failure containment: a corrupt file (truncated JSON, wrong schema
 version, key mismatch after a hash collision or a hand-moved file, a
 mapping that no longer validates or violates constraints) is *detected*,
-counted, and treated as a miss — the caller falls back to a fresh search
-and the fresh result overwrites the bad entry.  Writes are atomic
+reported as ``CORRUPT``, and treated as a miss — the caller falls back
+to a fresh search and the fresh result overwrites the bad entry.  Each
+:class:`~repro.compiler.cache.ScheduleCache` counts its own loads,
+misses, corrupt entries and writes.  Writes are atomic
 (temp file + ``os.replace``) so a crashed writer can at worst leave a
 stale temp file, never a half-written entry.
 
@@ -29,7 +31,6 @@ import hashlib
 import json
 import os
 import pathlib
-from dataclasses import dataclass
 
 from repro.compiler.cache import layer_signature
 from repro.compiler.constraints import check_constraints
@@ -78,46 +79,23 @@ def store_key(
     return hashlib.sha256(material.encode()).hexdigest()
 
 
-@dataclass(frozen=True)
-class StoreStats:
-    """Point-in-time snapshot of one store's counters."""
-
-    hits: int
-    misses: int
-    stores: int
-    corrupt: int
-    size: int
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def describe(self) -> str:
-        return (
-            f"{self.size} entries: {self.hits} hits / {self.misses} misses "
-            f"({self.hit_rate:.1%}), {self.stores} stores, "
-            f"{self.corrupt} corrupt"
-        )
-
-
 class PersistentScheduleStore:
     """One directory of ``<sha256>.json`` schedule entries.
+
+    The store keeps no counters: several caches may share it, and each
+    counts its own lookups and writes.
 
     Args:
         root: Directory holding the entries (created if absent).
     """
 
+    #: What :meth:`load` returns for an entry that exists but fails
+    #: validation; an absent entry reads as None.
+    CORRUPT = "corrupt"
+
     def __init__(self, root: str | os.PathLike):
         self.root = pathlib.Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.corrupt = 0
 
     def __len__(self) -> int:
         return sum(1 for _ in self.root.glob("*.json"))
@@ -128,29 +106,25 @@ class PersistentScheduleStore:
         layer: AcceleratedLayer,
         config: OverlayConfig,
         objective: str,
-    ) -> tuple[Schedule, int] | None:
-        """Return ``(schedule, steps)`` for the entry, or None on a miss.
+    ) -> tuple[Schedule, int] | str | None:
+        """Return ``(schedule, steps)`` for the entry, None when it is
+        absent, or :attr:`CORRUPT` when it fails validation.
 
         ``steps`` is the original search's step-clock charge, replayed by
         the caller so warm and cold runs share one virtual timeline.
-        Corrupt or stale entries count in :attr:`corrupt` and read as a
-        miss — the caller searches fresh and overwrites.
+        Either miss sends the caller to a fresh search, whose save
+        overwrites a corrupt or stale entry.
         """
         key = store_key(layer, config, objective)
         path = self.root / f"{key}.json"
         try:
             text = path.read_text()
-        except (FileNotFoundError, OSError):
-            self.misses += 1
+        except OSError:
             return None
         try:
-            schedule, steps = self._decode(text, key, layer, config, objective)
+            return self._decode(text, key, layer, config, objective)
         except (ValueError, KeyError, TypeError, FTDLError):
-            self.corrupt += 1
-            self.misses += 1
-            return None
-        self.hits += 1
-        return schedule, steps
+            return self.CORRUPT
 
     def _decode(
         self,
@@ -223,14 +197,3 @@ class PersistentScheduleStore:
         tmp = self.root / f".{key}.{os.getpid()}.tmp"
         tmp.write_text(_canonical(payload))
         os.replace(tmp, path)
-        self.stores += 1
-
-    # ------------------------------------------------------------------ #
-    def stats(self) -> StoreStats:
-        return StoreStats(
-            hits=self.hits, misses=self.misses, stores=self.stores,
-            corrupt=self.corrupt, size=len(self),
-        )
-
-    def describe(self) -> str:
-        return f"disk store at {self.root}: {self.stats().describe()}"

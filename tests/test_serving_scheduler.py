@@ -6,6 +6,7 @@ from repro.cluster.router import ClusterRouter
 from repro.cluster.service import FleetService
 from repro.compiler import cache as cache_module
 from repro.compiler.cache import ScheduleCache
+from repro.compiler.persist import PersistentScheduleStore
 from repro.cluster.topology import build_fleet
 from repro.errors import FTDLError, ServingError
 from repro.faults.mask import FaultMask, largest_healthy_subgrid
@@ -16,6 +17,7 @@ from repro.serving.scheduler import PipelineService, ReplicaService
 from repro.workloads.layers import EwopLayer, MatMulLayer
 from repro.workloads.models import build_smallcnn
 from repro.workloads.network import Network
+from repro.workloads.registry import build_workload
 
 
 def _net() -> Network:
@@ -154,6 +156,20 @@ class TestPipelineService:
         svc.latency_s(1)
         stats = svc.cache_stats()
         assert stats.misses >= svc.n_devices  # every stage compiled
+
+    def test_shared_store_counted_once(self, tmp_path):
+        """The stages share one persistent store, and each stage's cache
+        counts only its own disk traffic: summed, every miss is one disk
+        lookup and every search is one write."""
+        svc = PipelineService(
+            build_workload("Sentimental-seqLSTM"), OverlayConfig(3, 2, 2),
+            n_devices=3, store=PersistentScheduleStore(tmp_path),
+        )
+        svc.latency_s(1)
+        stats = svc.cache_stats()
+        assert stats.persistent_hits + stats.persistent_misses == stats.misses
+        assert stats.persistent_stores == stats.compiles \
+            == len(list(tmp_path.glob("*.json")))
 
     def test_degraded_stage_keeps_stage_objective(self):
         """A degraded stage compiles with its healthy stage's objective
