@@ -29,7 +29,6 @@ either shape as one rack with one board per replica.
 from __future__ import annotations
 
 import dataclasses
-from numbers import Integral
 from typing import Collection, Sequence
 
 from repro.analysis.partition import plan_deployment
@@ -39,20 +38,8 @@ from repro.faults.events import TpeCoord
 from repro.faults.mask import FaultMask, largest_healthy_subgrid
 from repro.overlay.config import OverlayConfig
 from repro.serving.batcher import BatchServiceModel
+from repro.serving.request import require_count
 from repro.workloads.network import Network
-
-
-def _check_replicas(n_replicas: object) -> None:
-    """Raise :class:`ServingError` unless ``n_replicas`` is an integer
-    >= 1 (a bool is not a count)."""
-    if (
-        isinstance(n_replicas, bool)
-        or not isinstance(n_replicas, Integral)
-        or n_replicas < 1
-    ):
-        raise ServingError(
-            f"n_replicas must be an integer >= 1, got {n_replicas!r}"
-        )
 
 
 class StagedService:
@@ -165,7 +152,7 @@ class ReplicaService(StagedService):
     replicas named ``overlay{i}``."""
 
     def __init__(self, model: BatchServiceModel, n_replicas: int = 1):
-        _check_replicas(n_replicas)
+        require_count("n_replicas", n_replicas)
         super().__init__(
             (model,), [f"overlay{i}" for i in range(n_replicas)]
         )
@@ -192,7 +179,7 @@ class PipelineService(StagedService):
         objective: str = "balance",
         store=None,
     ):
-        _check_replicas(n_replicas)
+        require_count("n_replicas", n_replicas)
         plan = plan_deployment(network, config, n_devices=n_devices,
                                objective=objective)
         if not plan.stages:
