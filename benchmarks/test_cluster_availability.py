@@ -54,8 +54,10 @@ MAX_BATCH = 16
 TENANTS = {"alpha": 2.0, "beta": 1.0}
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture
 def model():
+    """A fresh model (and schedule cache) per test, so each artifact's
+    cache counters do not depend on which other tests ran first."""
     return BatchServiceModel(NETWORK, CONFIG)
 
 
