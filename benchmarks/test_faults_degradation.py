@@ -19,7 +19,7 @@ from __future__ import annotations
 import pytest
 from conftest import save_artifact
 
-from repro.compiler.search import schedule_network
+from repro.compiler.cache import ScheduleCache
 from repro.faults import (
     DegradationReport,
     FaultMask,
@@ -41,21 +41,14 @@ def _row_mask(config, n_rows: int) -> FaultMask:
 
 @pytest.fixture(scope="module")
 def degrade(paper_config):
-    """Memoized fault-aware compile: the healthy GoogLeNet compilation
-    runs once, and each distinct sub-grid compiles once."""
+    """Fault-aware compile through one schedule cache: the healthy
+    GoogLeNet compilation runs once, and each distinct sub-grid compiles
+    once."""
     googlenet = build_model("GoogLeNet")
-    healthy_cycles = sum(
-        s.cycles for s in schedule_network(googlenet, paper_config)
-    )
-    memo: dict[frozenset, DegradationReport] = {}
+    cache = ScheduleCache(paper_config)
 
     def run(mask: FaultMask) -> DegradationReport:
-        if mask.masked not in memo:
-            memo[mask.masked] = degraded_compile(
-                googlenet, paper_config, mask,
-                healthy_cycles=healthy_cycles,
-            )
-        return memo[mask.masked]
+        return degraded_compile(googlenet, paper_config, mask, cache=cache)
 
     return run
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 
+from repro.compiler.cache import ScheduleCache
 from repro.faults import (
     FaultSchedule,
     ReplicaCrash,
@@ -115,15 +116,10 @@ def main() -> None:
     # 3. Degraded-grid compilation curve.
     print("\nmasked TPEs -> recompiled throughput "
           "(largest healthy sub-grid):")
-    from repro.compiler.search import schedule_network
-    healthy_cycles = sum(
-        s.cycles for s in schedule_network(network, config)
-    )
+    cache = ScheduleCache(config)
     for fraction in (0.05, 0.10, 0.20):
         mask = random_tpe_mask(config, fraction, seed=args.seed)
-        result = degraded_compile(
-            network, config, mask, healthy_cycles=healthy_cycles
-        )
+        result = degraded_compile(network, config, mask, cache=cache)
         d = result.degraded
         print(f"  {fraction:5.0%} masked -> {d.d1}x{d.d2}x{d.d3} "
               f"({result.tpe_fraction_kept:.0%} TPEs), throughput "

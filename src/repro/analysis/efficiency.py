@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.compiler.cache import ScheduleCache
-from repro.compiler.search import Schedule
+from repro.compiler.search import Schedule, schedule_network
 from repro.overlay.config import OverlayConfig
 from repro.sim.trace import DramTrace
 from repro.units import OPS_PER_MACC
@@ -134,14 +134,12 @@ def evaluate_network(
         network: The workload.
         config: Overlay configuration to schedule onto.
         objective: Search objective for every layer.
-        cache: Optional shared :class:`ScheduleCache` (must match
-            ``config`` and ``objective``); one is created if omitted.
+        cache: Optional shared :class:`ScheduleCache` searching under
+            ``objective``; one is created if omitted.
     """
-    if cache is None:
-        cache = ScheduleCache(config, objective=objective)
     results = [
-        LayerResult(name=layer.name, schedule=cache.schedule(layer))
-        for layer in network.accelerated_layers()
+        LayerResult(name=schedule.layer.name, schedule=schedule)
+        for schedule in schedule_network(network, config, objective, cache)
     ]
     return NetworkResult(
         network=network,

@@ -15,6 +15,7 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from repro.analysis.efficiency import NetworkResult, evaluate_network
+from repro.compiler.cache import ScheduleCache
 from repro.errors import FTDLError, PartitionError
 from repro.overlay.config import OverlayConfig
 from repro.units import BYTES_PER_WORD
@@ -117,6 +118,7 @@ def plan_deployment(
     n_devices: int,
     objective: str = "balance",
     require_resident: bool = False,
+    cache: ScheduleCache | None = None,
 ) -> DeploymentPlan:
     """Partition ``network`` across ``n_devices`` identical overlays.
 
@@ -127,6 +129,9 @@ def plan_deployment(
 
     ``require_resident`` enforces the point of a multi-FPGA deployment
     (§II-B1): every stage's stored weights must fit its device's WBUF.
+
+    Every compile goes through ``cache`` (a fresh one when None), so a
+    caller that serves the plan reuses its searches.
 
     Raises:
         PartitionError: if ``network`` has no accelerated layers — there
@@ -143,19 +148,21 @@ def plan_deployment(
         raise PartitionError(
             f"network {network.name!r} has no CONV/MM layers to deploy"
         )
+    if cache is None:
+        cache = ScheduleCache(config, objective=objective)
     wbuf_budget = config.n_tpe * config.s_wbuf_words * BYTES_PER_WORD
     stages = []
     for part in partition_by_weight_groups(network, n_devices):
         if not part.accelerated_layers():
             continue
-        result = evaluate_network(part, config, objective=objective)
+        result = evaluate_network(part, config, objective, cache)
         stored_bytes = int(
             part.weight_bytes / max(result.mean_e_wbuf, 1e-9)
         )
         resident = stored_bytes <= wbuf_budget
         if resident:
             resident_config = dataclasses.replace(config, weights_resident=True)
-            result = evaluate_network(part, resident_config, objective=objective)
+            result = evaluate_network(part, resident_config, objective, cache)
         stages.append(DeviceStage(
             partition=part,
             result=result,

@@ -1,13 +1,15 @@
-"""Schedule memoization keyed by layer shape.
+"""Schedule memoization keyed by overlay config and layer shape.
 
 Real networks repeat layer shapes heavily (ResNet50's six identical
-``layer3`` bottlenecks, the seqLSTM's 50 tied-gate MMs); the cache makes
-whole-network compilation pay for each distinct shape once.
+``layer3`` bottlenecks, the seqLSTM's 50 tied-gate MMs), and one
+deployment compiles the same shapes for several configs (pipeline stages,
+fault-masked sub-grids); the cache makes a deployment pay for each
+distinct (config, shape) once.
 
 The cache is optionally bounded: a long-running server compiling
 schedules for every (layer, batch) combination it encounters would grow
 without limit, so :class:`ScheduleCache` accepts ``max_entries`` and
-evicts least-recently-used shapes past that bound.  Hit/miss/eviction
+evicts least-recently-used entries past that bound.  Hit/miss/eviction
 counters are exposed through :meth:`ScheduleCache.stats` for the serving
 metrics layer.
 
@@ -24,7 +26,13 @@ from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
-from repro.compiler.search import Schedule, ScheduleSearch, check_count
+from repro.compiler.search import (
+    DEFAULT_SPATIAL_BEAM,
+    DEFAULT_TEMPORAL_BEAM,
+    Schedule,
+    ScheduleSearch,
+    check_count,
+)
 from repro.overlay.config import OverlayConfig
 from repro.trace.metrics import MetricsRegistry, as_metrics
 from repro.trace.span import Tracer, as_tracer
@@ -99,13 +107,16 @@ class CacheStats:
 
 
 class ScheduleCache:
-    """Memoized per-layer scheduling against one overlay config.
+    """Memoized per-layer scheduling, keyed by (overlay config, layer
+    shape): one cache serves every config a deployment compiles for.
+    The objective and beams are fixed per cache.
 
     Args:
-        config: The overlay all layers are scheduled for.
+        config: The overlay :meth:`schedule` compiles for by default.
         objective: Search objective forwarded to :class:`ScheduleSearch`.
-        max_entries: Bound on cached distinct shapes; least-recently-used
-            entries are evicted past it.  ``None`` keeps every shape.
+        max_entries: Bound on cached (config, shape) entries;
+            least-recently-used entries are evicted past it.  ``None``
+            keeps every entry.
         tracer: Optional :class:`~repro.trace.span.Tracer`; hit/miss/
             eviction instants land on the ``cache`` track and miss
             compiles are forwarded to :class:`ScheduleSearch` on one
@@ -115,19 +126,16 @@ class ScheduleCache:
         store: Optional :class:`~repro.compiler.persist.
             PersistentScheduleStore`; misses consult it before searching
             and fresh searches are persisted into it.
-        spatial_beam: Optional override of the search's spatial beam
-            width.  ``None`` (default) keeps the search default; smaller
-            beams trade schedule quality for compile time (the
-            conformance harness's budget mode uses this).
-        temporal_beam: Optional override of the search's temporal beam
-            width; same semantics as ``spatial_beam``.
+        spatial_beam: The search's spatial beam width (``None`` explores
+            all); smaller beams trade schedule quality for compile time
+            (the conformance harness's budget mode uses this).
+        temporal_beam: The search's temporal beam width; same semantics
+            as ``spatial_beam``.
 
     Raises:
-        ScheduleError: if ``max_entries`` or a beam override is neither
+        ScheduleError: if ``max_entries`` or a beam width is neither
             None nor an integer >= 1.
     """
-
-    _SEARCH_DEFAULT = object()
 
     def __init__(
         self,
@@ -137,23 +145,23 @@ class ScheduleCache:
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
         store: "PersistentScheduleStore | None" = None,
-        spatial_beam: int | None | object = _SEARCH_DEFAULT,
-        temporal_beam: int | None | object = _SEARCH_DEFAULT,
+        spatial_beam: int | None = DEFAULT_SPATIAL_BEAM,
+        temporal_beam: int | None = DEFAULT_TEMPORAL_BEAM,
     ):
         check_count("max_entries", max_entries, optional=True)
+        check_count("spatial_beam", spatial_beam, optional=True)
+        check_count("temporal_beam", temporal_beam, optional=True)
         self.config = config
         self.objective = objective
         self.max_entries = max_entries
         self.tracer = as_tracer(tracer)
         self.metrics = as_metrics(metrics)
         self.store = store
-        self._beam_kwargs: dict[str, int | None] = {}
-        for name, width in (("spatial_beam", spatial_beam),
-                            ("temporal_beam", temporal_beam)):
-            if width is not ScheduleCache._SEARCH_DEFAULT:
-                check_count(name, width, optional=True)
-                self._beam_kwargs[name] = width
+        self.beams = (spatial_beam, temporal_beam)
         self._cache: OrderedDict[tuple, Schedule] = OrderedDict()
+        # Entries key on a per-config index, so a lookup under the
+        # cache's own config hashes no config.
+        self._config_index = {config: 0}
         self._step_base = 0
         self.misses = 0
         self.hits = 0
@@ -177,35 +185,16 @@ class ScheduleCache:
                 "schedule_cache_evictions", "LRU entries dropped at the bound"
             ).inc()
 
-    def _memory_hit(self, key: tuple, layer: AcceleratedLayer) -> Schedule:
-        self.hits += 1
-        self.metrics.counter(
-            "schedule_cache_hits", "schedule lookups served from cache"
-        ).inc()
-        self.tracer.instant(
-            "cache.hit", at=self._step_base, track="cache",
-            layer=layer.name,
-        )
-        self._cache.move_to_end(key)
-        cached = self._cache[key]
-        if cached.layer is layer:
-            return cached
-        return replace(cached, layer=layer)
-
-    def load_persistent(self, layer: AcceleratedLayer) -> bool:
-        """Try to promote this layer's entry from the store into memory.
-
-        Returns True when the store held a valid entry.  The entry's
-        recorded step charge is replayed onto the cache's step clock so
-        trace timelines are identical warm or cold.
-        """
-        if self.store is None:
-            return False
-        loaded = self.store.load(layer, self.config, self.objective)
+    def _load(
+        self, layer: AcceleratedLayer, config: OverlayConfig
+    ) -> Schedule | None:
+        """The store's entry for ``layer`` on ``config``, or None; its
+        step charge is replayed so timelines match warm or cold."""
+        loaded = self.store.load(layer, config, self.objective, self.beams)
         if loaded is None or loaded == self.store.CORRUPT:
             self.persistent_misses += 1
             self.persistent_corrupt += loaded is not None
-            return False
+            return None
         schedule, steps = loaded
         self._step_base += steps
         self.persistent_hits += 1
@@ -217,47 +206,59 @@ class ScheduleCache:
             "schedule_cache_persistent_hits",
             "schedule lookups loaded from the persistent store",
         ).inc()
-        self._insert(layer_signature(layer), schedule)
-        return True
+        return schedule
 
     # ------------------------------------------------------------------ #
-    def schedule(self, layer: AcceleratedLayer) -> Schedule:
-        """Return the best schedule for ``layer``, reusing shape twins."""
-        key = layer_signature(layer)
-        if key in self._cache:
-            return self._memory_hit(key, layer)
-        if self.store is not None and self.load_persistent(layer):
-            # A miss satisfied from disk: no search ran, the entry is in
-            # memory now.  stats().compiles stays honest about searches.
+    def schedule(
+        self, layer: AcceleratedLayer, config: OverlayConfig | None = None
+    ) -> Schedule:
+        """Return the best schedule for ``layer`` on ``config`` (the
+        cache's own config when None), reusing shape twins."""
+        config = self.config if config is None else config
+        index = 0 if config is self.config else self._config_index.setdefault(
+            config, len(self._config_index))
+        key = (index, layer_signature(layer))
+        schedule = self._cache.get(key)
+        if schedule is not None:
+            self.hits += 1
+            self.metrics.counter(
+                "schedule_cache_hits", "schedule lookups served from cache"
+            ).inc()
+            self.tracer.instant(
+                "cache.hit", at=self._step_base, track="cache",
+                layer=layer.name,
+            )
+            self._cache.move_to_end(key)
+        else:
+            # A miss served from disk runs no search: stats().compiles
+            # counts searches only.
+            if self.store is not None:
+                schedule = self._load(layer, config)
             self.misses += 1
             self.metrics.counter(
                 "schedule_cache_misses", "schedule lookups that compiled"
             ).inc()
-            cached = self._cache[key]
-            if cached.layer is layer:
-                return cached
-            return replace(cached, layer=layer)
-        self.misses += 1
-        self.metrics.counter(
-            "schedule_cache_misses", "schedule lookups that compiled"
-        ).inc()
-        self.tracer.instant(
-            "cache.miss", at=self._step_base, track="cache",
-            layer=layer.name,
-        )
-        search = ScheduleSearch(
-            layer, self.config, objective=self.objective, top_k=1,
-            tracer=self.tracer, metrics=self.metrics,
-            step_base=self._step_base,
-            **self._beam_kwargs,
-        )
-        schedule = search.run()[0]
-        self._step_base += search.steps
-        self._insert(key, schedule)
-        if self.store is not None:
-            self.store.save(schedule, steps=search.steps)
-            self.persistent_stores += 1
-        return schedule
+            if schedule is None:
+                self.tracer.instant(
+                    "cache.miss", at=self._step_base, track="cache",
+                    layer=layer.name,
+                )
+                spatial_beam, temporal_beam = self.beams
+                search = ScheduleSearch(
+                    layer, config, objective=self.objective, top_k=1,
+                    tracer=self.tracer, metrics=self.metrics,
+                    step_base=self._step_base,
+                    spatial_beam=spatial_beam, temporal_beam=temporal_beam,
+                )
+                schedule = search.run()[0]
+                self._step_base += search.steps
+                if self.store is not None:
+                    self.store.save(schedule, search.steps, self.beams)
+                    self.persistent_stores += 1
+            self._insert(key, schedule)
+        if schedule.layer is layer:
+            return schedule
+        return replace(schedule, layer=layer)
 
     # ------------------------------------------------------------------ #
     def stats(self) -> CacheStats:

@@ -3,8 +3,9 @@
 One :class:`CompiledLayer` carries the per-row instruction streams the
 paper's compiler "dumps for all Controllers": a weight-load prologue and
 the COMPUTE instruction encoding the X/L/T loop nest and buffer tiles.
-The cycle simulator executes these instructions; the encoded bytes round-
-trip through :mod:`repro.overlay.isa` so the InstBUS format is exercised.
+The encoded bytes round-trip through :mod:`repro.overlay.isa` so the
+InstBUS format is exercised; the cycle simulator does not execute them,
+it reads only ``CompiledLayer.schedule`` (the layer and mapping vectors).
 
 :func:`compile_network` lowers a whole network against a
 :class:`repro.compiler.residency.ResidencyPlan`: resident layers get

@@ -1,14 +1,15 @@
 """Versioned, content-addressed on-disk schedule store.
 
 A compiled schedule is a pure function of ``(layer shape, overlay
-config, objective)`` — everything else (batch size folded into the MM
-``P`` loop, a fault mask shrinking the grid) is already encoded in those
-two signatures.  The store keys each entry by the SHA-256 of the
-canonical JSON of ``(schema version, layer signature, config signature,
-objective)`` and persists only the *mapping vectors*: on load the
-mapping is re-priced by the authoritative analytical model and re-checked
-against every constraint, so a loaded schedule is byte-for-byte the
-schedule a fresh search would return — or it is rejected.
+config, objective, beam widths)`` — everything else (batch size folded
+into the MM ``P`` loop, a fault mask shrinking the grid) is already
+encoded in the shape and the config.  The store keys each entry by the
+SHA-256 of the canonical JSON of the schema version and those four, so a
+budget-beam search's entry never reaches a default-beam cache, and
+persists only the *mapping vectors*: on load the mapping is re-priced by
+the authoritative analytical model and re-checked against every
+constraint, so a loaded schedule is byte-for-byte the schedule a fresh
+search would return — or it is rejected.
 
 Failure containment: a corrupt file (truncated JSON, wrong schema
 version, key mismatch after a hash collision or a hand-moved file, a
@@ -31,32 +32,29 @@ import hashlib
 import json
 import os
 import pathlib
+from dataclasses import fields
 
 from repro.compiler.cache import layer_signature
 from repro.compiler.constraints import check_constraints
 from repro.compiler.mapping import HW_LEVELS, MappingVectors
 from repro.compiler.model import evaluate_mapping
-from repro.compiler.search import Schedule
+from repro.compiler.search import (
+    DEFAULT_SPATIAL_BEAM,
+    DEFAULT_TEMPORAL_BEAM,
+    Schedule,
+)
 from repro.errors import FTDLError, MappingError, ScheduleError
 from repro.overlay.config import OverlayConfig
 from repro.workloads.layers import ConvLayer, MatMulLayer
 
 AcceleratedLayer = ConvLayer | MatMulLayer
+#: ``(spatial_beam, temporal_beam)`` of the search an entry came from.
+Beams = tuple[int | None, int | None]
+DEFAULT_BEAMS: Beams = (DEFAULT_SPATIAL_BEAM, DEFAULT_TEMPORAL_BEAM)
 
 #: Bump on any change to the key derivation, the payload layout, or the
 #: search/model arithmetic that could alter what a key should map to.
-SCHEMA_VERSION = 1
-
-
-def config_signature(config: OverlayConfig) -> tuple:
-    """Everything about an overlay config that affects scheduling."""
-    return (
-        config.d1, config.d2, config.d3,
-        config.s_actbuf_words, config.s_wbuf_words, config.s_psumbuf_words,
-        config.actbus_words_per_cycle, config.psumbus_words_per_cycle,
-        config.dram_rd_gbps, config.dram_wr_gbps, config.clk_h_mhz,
-        config.double_pump, config.double_buffer, config.weights_resident,
-    )
+SCHEMA_VERSION = 2
 
 
 def _canonical(value) -> str:
@@ -64,19 +62,27 @@ def _canonical(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
+def _key_fields(layer: AcceleratedLayer, config: OverlayConfig,
+                objective: str, beams: Beams) -> dict:
+    """What an entry is keyed by, as it is written in the entry: every
+    config field, as the in-memory cache key hashes every field."""
+    return {
+        "layer": list(layer_signature(layer)),
+        "config": [getattr(config, f.name) for f in fields(config)],
+        "objective": objective,
+        "beams": list(beams),
+    }
+
+
 def store_key(
     layer: AcceleratedLayer,
     config: OverlayConfig,
     objective: str,
+    beams: Beams = DEFAULT_BEAMS,
 ) -> str:
-    """Content address of one (layer, config, objective) entry."""
-    material = _canonical([
-        SCHEMA_VERSION,
-        list(layer_signature(layer)),
-        list(config_signature(config)),
-        objective,
-    ])
-    return hashlib.sha256(material.encode()).hexdigest()
+    """Content address of one (layer, config, objective, beams) entry."""
+    material = [SCHEMA_VERSION, _key_fields(layer, config, objective, beams)]
+    return hashlib.sha256(_canonical(material).encode()).hexdigest()
 
 
 class PersistentScheduleStore:
@@ -106,6 +112,7 @@ class PersistentScheduleStore:
         layer: AcceleratedLayer,
         config: OverlayConfig,
         objective: str,
+        beams: Beams = DEFAULT_BEAMS,
     ) -> tuple[Schedule, int] | str | None:
         """Return ``(schedule, steps)`` for the entry, None when it is
         absent, or :attr:`CORRUPT` when it fails validation.
@@ -115,34 +122,29 @@ class PersistentScheduleStore:
         Either miss sends the caller to a fresh search, whose save
         overwrites a corrupt or stale entry.
         """
-        key = store_key(layer, config, objective)
+        key = store_key(layer, config, objective, beams)
         path = self.root / f"{key}.json"
         try:
             text = path.read_text()
         except OSError:
             return None
         try:
-            return self._decode(text, key, layer, config, objective)
+            return self._decode(text, layer, config, objective, beams)
         except (ValueError, KeyError, TypeError, FTDLError):
             return self.CORRUPT
 
     def _decode(
         self,
         text: str,
-        key: str,
         layer: AcceleratedLayer,
         config: OverlayConfig,
         objective: str,
+        beams: Beams,
     ) -> tuple[Schedule, int]:
         payload = json.loads(text)
         if payload.get("version") != SCHEMA_VERSION:
             raise ValueError(f"schema version {payload.get('version')!r}")
-        expected_key = {
-            "layer": json.loads(_canonical(list(layer_signature(layer)))),
-            "config": json.loads(_canonical(list(config_signature(config)))),
-            "objective": objective,
-        }
-        if payload.get("key") != expected_key:
+        if payload.get("key") != _key_fields(layer, config, objective, beams):
             raise ValueError("key mismatch (stale or relocated entry)")
         loop_names = tuple(payload["loop_names"])
         if loop_names != tuple(d.name for d in layer.loop_dims()):
@@ -172,20 +174,18 @@ class PersistentScheduleStore:
         self,
         schedule: Schedule,
         steps: int = 0,
+        beams: Beams = DEFAULT_BEAMS,
     ) -> None:
-        """Persist one schedule atomically under its content address."""
+        """Persist one schedule, found by a search with ``beams``,
+        atomically under its content address."""
         if not isinstance(schedule, Schedule):
             raise ScheduleError(f"cannot persist {type(schedule).__name__}")
         layer = schedule.layer
         config = schedule.config
-        key = store_key(layer, config, schedule.objective)
+        key = store_key(layer, config, schedule.objective, beams)
         payload = {
             "version": SCHEMA_VERSION,
-            "key": {
-                "layer": list(layer_signature(layer)),
-                "config": list(config_signature(config)),
-                "objective": schedule.objective,
-            },
+            "key": _key_fields(layer, config, schedule.objective, beams),
             "loop_names": list(schedule.mapping.loop_names),
             "trips": {
                 level: dict(schedule.mapping.trips[level])

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.compiler.cache import ScheduleCache
-from repro.compiler.search import Schedule
+from repro.compiler.search import Schedule, schedule_network
 from repro.errors import ScheduleError
 from repro.overlay.config import OverlayConfig
 from repro.units import BYTES_PER_WORD
@@ -105,7 +105,7 @@ def plan_residency(
             residency — the plan decides per layer).
         objective: Scheduling objective; ``"balance"`` (Objective 2) keeps
             stored footprints small, which is the whole point.
-        cache: Optional shared schedule cache matching ``config``.
+        cache: Optional shared schedule cache searching under ``objective``.
 
     Raises:
         ScheduleError: if ``config.weights_resident`` is already set (the
@@ -116,13 +116,10 @@ def plan_residency(
             "plan_residency needs a streaming config; the plan assigns "
             "residency per layer"
         )
-    if cache is None:
-        cache = ScheduleCache(config, objective=objective)
 
     entries = []
-    for layer in network.accelerated_layers():
-        schedule = cache.schedule(layer)
-        estimate = schedule.estimate
+    for schedule in schedule_network(network, config, objective, cache):
+        layer, estimate = schedule.layer, schedule.estimate
         stored = int(round(layer.weight_words / max(estimate.e_wbuf, 1e-9)))
         entries.append((layer.name, schedule, stored))
 

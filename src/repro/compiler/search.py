@@ -67,6 +67,11 @@ AcceleratedLayer = ConvLayer | MatMulLayer
 #: Valid objective names.
 OBJECTIVES = ("performance", "balance")
 
+#: Default beam widths of :class:`ScheduleSearch` and of every
+#: :class:`~repro.compiler.cache.ScheduleCache`.
+DEFAULT_SPATIAL_BEAM = 160
+DEFAULT_TEMPORAL_BEAM = 240
+
 #: T tiles whose L lattices are expanded together in the first block of a
 #: beamed temporal enumeration; later blocks double.
 _FIRST_T_BLOCK = 32
@@ -268,8 +273,8 @@ class ScheduleSearch:
         config: OverlayConfig,
         objective: str = "performance",
         top_k: int = 1,
-        spatial_beam: int | None = 160,
-        temporal_beam: int | None = 240,
+        spatial_beam: int | None = DEFAULT_SPATIAL_BEAM,
+        temporal_beam: int | None = DEFAULT_TEMPORAL_BEAM,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
         step_base: int = 0,
@@ -896,19 +901,28 @@ def schedule_network(
     objective: str = "performance",
     cache=None,
 ) -> list[Schedule]:
-    """Best schedule per accelerated layer of ``network``, in layer order.
+    """Best schedule per accelerated layer of ``network`` on ``config``,
+    in layer order.
 
-    The whole-network entry point behind network evaluation, the serving
-    batch model, and fault-aware degraded compilation: shape twins are
-    deduplicated through one :class:`~repro.compiler.cache.ScheduleCache`
-    (a fresh unbounded one when ``cache`` is None).
+    The whole-network entry point behind network evaluation and
+    fault-aware degraded compilation: shape twins are deduplicated
+    through one :class:`~repro.compiler.cache.ScheduleCache`, keyed by
+    config and shape (a fresh unbounded one when ``cache`` is None).
 
     Raises:
-        ScheduleError: if any layer has no feasible mapping on ``config``.
+        ScheduleError: if any layer has no feasible mapping on ``config``,
+            or if ``cache`` searches under another objective.
     """
     # Local import: cache.py imports this module at load time.
     from repro.compiler.cache import ScheduleCache
 
     if cache is None:
         cache = ScheduleCache(config, objective=objective)
-    return [cache.schedule(layer) for layer in network.accelerated_layers()]
+    elif cache.objective != objective:
+        raise ScheduleError(
+            f"cache searches for {cache.objective!r}, not {objective!r}"
+        )
+    return [
+        cache.schedule(layer, config)
+        for layer in network.accelerated_layers()
+    ]

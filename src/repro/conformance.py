@@ -379,14 +379,9 @@ def run_workload_conformance(
         mask = FaultMask.from_coords([(0, 0, 0)])
         degraded_config = largest_healthy_subgrid(config, mask)
         report.degraded_grid = degraded_config.grid
-        degraded_cache = ScheduleCache(
-            degraded_config, objective="performance",
-            spatial_beam=budget.spatial_beam,
-            temporal_beam=budget.temporal_beam,
-        )
         probe = distinct[: max(1, budget.max_sim_layers)]
         report.degraded_cycles = sum(
-            degraded_cache.schedule(layer).cycles for layer in probe
+            cache.schedule(layer, degraded_config).cycles for layer in probe
         )
         healthy = sum(cache.schedule(layer).cycles for layer in probe)
         if report.degraded_cycles < healthy:

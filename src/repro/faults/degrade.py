@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Collection
 
+from repro.compiler.cache import ScheduleCache
 from repro.compiler.search import schedule_network
 from repro.faults.events import TpeCoord
 from repro.faults.mask import FaultMask, largest_healthy_subgrid
@@ -96,32 +97,31 @@ def degraded_compile(
     mask: FaultMask | Collection[TpeCoord],
     objective: str = "performance",
     *,
-    healthy_cycles: int | None = None,
+    cache: ScheduleCache | None = None,
 ) -> DegradationReport:
     """Compile ``network`` healthy and degraded; report the delta.
 
-    ``healthy_cycles`` lets a caller sweeping many masks over one
-    network/config pair (e.g. the chaos degradation curve) pay for the
-    healthy-grid compilation once and reuse the total.
+    Both compiles go through ``cache`` (a fresh one when None), which is
+    keyed by config and shape: a caller sweeping many masks over one
+    network/config pair (e.g. the chaos degradation curve) passes one
+    cache, so the healthy grid and every sub-grid several masks share
+    are each searched once.
 
     Raises:
         FaultError: if the mask leaves no healthy sub-grid.
-        ScheduleError: if a layer cannot be scheduled on either grid.
+        ScheduleError: if a layer cannot be scheduled on either grid, or
+            ``cache`` searches under another objective.
     """
     if not isinstance(mask, FaultMask):
         mask = FaultMask.from_coords(mask)
     degraded_config = largest_healthy_subgrid(config, mask)
-    if healthy_cycles is None:
-        healthy_cycles = sum(
-            s.cycles for s in schedule_network(network, config, objective)
-        )
-    if degraded_config == config:
-        degraded_cycles = healthy_cycles
-    else:
-        degraded_cycles = sum(
-            s.cycles
-            for s in schedule_network(network, degraded_config, objective)
-        )
+    if cache is None:
+        cache = ScheduleCache(config, objective=objective)
+    healthy_cycles, degraded_cycles = (
+        sum(s.cycles
+            for s in schedule_network(network, grid, objective, cache))
+        for grid in (config, degraded_config)
+    )
     return DegradationReport(
         network=network.name,
         healthy=config,

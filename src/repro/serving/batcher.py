@@ -170,8 +170,9 @@ class BatchServiceModel:
     Every distinct batch size triggers one compilation pass; MM layers
     re-schedule with the batch folded into their ``P`` dimension (the §I
     efficiency recovery), CONV layers reuse their per-frame schedule B
-    times.  All passes share one :class:`ScheduleCache`, so a serving
-    run pays for each distinct (shape, batch) once.
+    times.  All passes look up one :class:`ScheduleCache` under this
+    model's ``config``, so a serving run pays for each distinct (shape,
+    batch) once.
     """
 
     def __init__(
@@ -210,9 +211,10 @@ class BatchServiceModel:
             if layer.kind == LayerKind.MM:
                 assert isinstance(layer, MatMulLayer)
                 batched = replace(layer, batch=layer.batch * batch_size)
-                cycles += self.cache.schedule(batched).cycles
+                cycles += self.cache.schedule(batched, self.config).cycles
             else:
-                cycles += self.cache.schedule(layer).cycles * batch_size
+                schedule = self.cache.schedule(layer, self.config)
+                cycles += schedule.cycles * batch_size
         compute_s = cycles / (self.config.clk_h_mhz * 1e6)
         return BatchCost(
             batch_size=batch_size,

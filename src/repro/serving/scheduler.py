@@ -47,8 +47,8 @@ class StagedService:
 
     Args:
         stages: One :class:`BatchServiceModel` per pipeline stage, in
-            the order a batch traverses them.  Every replica shares
-            them (and so their schedule caches).
+            the order a batch traverses them, all over one schedule
+            cache.  Every replica shares them (and so that cache).
         names: One name per replica.
     """
 
@@ -57,6 +57,7 @@ class StagedService:
     ):
         self._stages = tuple(stages)
         self._names = tuple(names)
+        self.cache = self._stages[0].cache
         self._degraded: dict[
             tuple[int, tuple[int, int, int]], BatchServiceModel
         ] = {}
@@ -89,23 +90,8 @@ class StagedService:
         )
 
     def cache_stats(self) -> CacheStats:
-        """Schedule-cache counters summed across the stages.  The bound
-        is the sum of the stage bounds (unbounded if any stage is), so a
-        one-stage service reports its stage's counters unchanged."""
-        stats = [s.cache.stats() for s in self._stages]
-        bounds = [s.max_entries for s in stats]
-        return CacheStats(
-            hits=sum(s.hits for s in stats),
-            misses=sum(s.misses for s in stats),
-            evictions=sum(s.evictions for s in stats),
-            size=sum(s.size for s in stats),
-            max_entries=None if None in bounds else sum(bounds),
-            persistent_hits=sum(s.persistent_hits for s in stats),
-            persistent_misses=sum(s.persistent_misses for s in stats),
-            persistent_stores=sum(s.persistent_stores for s in stats),
-            persistent_corrupt=sum(s.persistent_corrupt for s in stats),
-            has_store=any(s.has_store for s in stats),
-        )
+        """Counters of the schedule cache every stage shares."""
+        return self.cache.stats()
 
     def replica_names(self) -> list[str]:
         return list(self._names)
@@ -117,12 +103,13 @@ class StagedService:
 
         Each stage runs on the largest healthy sub-grid of its overlay
         that avoids the ``masked`` TPEs (the stages share the replica's
-        physical overlay shape), compiled with the stage's own search
-        objective.  The inflation of the worst stage is returned: for
-        a pipeline that is the bottleneck approximation (the initiation
-        interval gates throughput), for one stage it is exact.  Each
-        degraded :class:`BatchServiceModel` is compiled once per
-        (stage, sub-grid shape) and memoized; 1.0 = no inflation.
+        physical overlay shape), compiled with the search objective of
+        the service's cache.  The inflation of the worst stage is
+        returned: for a pipeline that is the bottleneck approximation
+        (the initiation interval gates throughput), for one stage it is
+        exact.  Each degraded :class:`BatchServiceModel` is compiled
+        once per (stage, sub-grid shape) and memoized; 1.0 = no
+        inflation.
 
         Raises:
             FaultError: if no healthy sub-grid remains.
@@ -138,7 +125,7 @@ class StagedService:
             key = (index, config.grid)
             if key not in self._degraded:
                 self._degraded[key] = BatchServiceModel(
-                    stage.network, config, objective=stage.cache.objective
+                    stage.network, config, objective=self.cache.objective
                 )
             worst = max(
                 worst, self._degraded[key].service_s(batch_size)
@@ -165,9 +152,11 @@ class PipelineService(StagedService):
     Built from :func:`plan_deployment`: each pipeline stage gets its own
     :class:`BatchServiceModel` over its partition, compiled against the
     stage's residency outcome (resident stages drop the per-frame weight
-    stream).  Compiled schedules are shared across replicas — the
-    pipelines are identical, so one set of schedule caches serves all.
-    Replicas are named ``pipeline{i}x{n_devices}``.
+    stream).  The plan, every stage and every replica compile through
+    one :class:`ScheduleCache`, keyed by config and shape: ``cache``, or
+    a ``balance`` cache over ``store`` (WBUF efficiency decides
+    residency); passing both raises :class:`ServingError`.  Replicas
+    are named ``pipeline{i}x{n_devices}``.
     """
 
     def __init__(
@@ -176,12 +165,16 @@ class PipelineService(StagedService):
         config: OverlayConfig,
         n_devices: int,
         n_replicas: int = 1,
-        objective: str = "balance",
         store=None,
+        cache: ScheduleCache | None = None,
     ):
         require_count("n_replicas", n_replicas)
+        if cache is None:
+            cache = ScheduleCache(config, objective="balance", store=store)
+        elif store is not None:
+            raise ServingError("pass the store to the cache, not both")
         plan = plan_deployment(network, config, n_devices=n_devices,
-                               objective=objective)
+                               objective=cache.objective, cache=cache)
         if not plan.stages:
             raise ServingError(
                 f"deployment plan for {network.name!r} has no stages"
@@ -192,15 +185,9 @@ class PipelineService(StagedService):
                 dataclasses.replace(config, weights_resident=True)
                 if stage.resident else config
             )
-            # Stages share one persistent store safely: the store key
-            # includes the stage's config signature, so resident and
-            # non-resident stages never collide.
-            stages.append(BatchServiceModel(
-                stage.partition, stage_config,
-                objective=objective,
-                cache=ScheduleCache(stage_config, objective=objective,
-                                    store=store),
-            ))
+            stages.append(
+                BatchServiceModel(stage.partition, stage_config, cache=cache)
+            )
         super().__init__(stages, [
             f"pipeline{i}x{len(stages)}" for i in range(n_replicas)
         ])

@@ -3,9 +3,9 @@
 This subpackage replaces the paper's Synopsys VCS RTL simulation.  The
 functional layer (:mod:`repro.sim.functional`, :mod:`repro.fixedpoint`)
 gives bit-true 16-bit reference results; the cycle layer
-(:mod:`repro.sim.cycle`) executes compiled instruction streams on the
-overlay model and counts useful versus idle MACC cycles — the quantity
-behind the paper's *hardware efficiency* numbers.
+(:mod:`repro.sim.cycle`) runs compiled schedules (mapping vectors, not
+instruction streams) on the overlay model and counts useful versus idle
+MACC cycles — the quantity behind the paper's *hardware efficiency* numbers.
 """
 
 from repro.fixedpoint import to_int16, wrap48, quantize_symmetric

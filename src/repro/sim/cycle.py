@@ -1,8 +1,8 @@
 """Cycle-level simulation of compiled layers on the overlay.
 
-Plays the role of the paper's RTL simulation: executes a
-:class:`repro.compiler.codegen.CompiledLayer` on an architectural model of
-the ``D1 x D2 x D3`` grid and reports
+Plays the role of the paper's RTL simulation: runs the mapping vectors of
+a :class:`repro.compiler.codegen.CompiledLayer` (not its instruction
+streams) on an architectural model of the ``D1 x D2 x D3`` grid and reports
 
 * **functional output** — bit-true (48-bit wrap, zero padding), proven
   equal to the golden NumPy model;
@@ -77,7 +77,7 @@ class LayerRun:
 
 
 class CycleSimulator:
-    """Executes compiled layers on an overlay configuration.
+    """Simulates compiled layers' schedules on an overlay configuration.
 
     Args:
         config: The overlay to simulate.

@@ -24,7 +24,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.compiler.search import schedule_network
+from repro.compiler.cache import ScheduleCache
 from repro.errors import FTDLError
 from repro.faults import (
     degraded_compile,
@@ -159,9 +159,7 @@ def _chaos_run(args, network, config: OverlayConfig) -> str:
 def _degradation_curve(
     fractions: tuple[float, ...], network, config: OverlayConfig, seed: int
 ) -> str:
-    healthy_cycles = sum(
-        s.cycles for s in schedule_network(network, config)
-    )
+    cache = ScheduleCache(config)
     lines = [
         "degradation curve (seeded scattered stuck-at TPE masks, "
         "fault-aware recompilation):",
@@ -170,9 +168,7 @@ def _degradation_curve(
     ]
     for fraction in fractions:
         mask = random_tpe_mask(config, fraction, seed=seed)
-        result = degraded_compile(
-            network, config, mask, healthy_cycles=healthy_cycles
-        )
+        result = degraded_compile(network, config, mask, cache=cache)
         d = result.degraded
         lines.append(
             f"  {fraction:8.1%} {result.n_masked:6d} "

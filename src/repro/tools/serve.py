@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.compiler.cache import ScheduleCache
 from repro.errors import ServingError
 from repro.serving import (
     AdmissionPolicy,
@@ -67,8 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--slo-ms", type=float, default=50.0,
                         help="latency objective for violation accounting")
     parser.add_argument("--cache-entries", type=int, default=None,
-                        help="bound the schedule cache (LRU eviction); "
-                             "single-overlay replicas only")
+                        help="bound the schedule cache (LRU eviction)")
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="persistent schedule store: cold starts load previously "
@@ -82,11 +82,6 @@ def _run(args: argparse.Namespace) -> int:
         raise ServingError(
             f"--pipeline-devices must be >= 0, got {args.pipeline_devices}"
         )
-    if args.pipeline_devices > 0 and args.cache_entries is not None:
-        raise ServingError(
-            "--cache-entries bounds the single-overlay schedule cache; "
-            "it cannot be combined with --pipeline-devices"
-        )
     config = grid_config(args.grid)
     network = build_network(args.model)
 
@@ -94,20 +89,23 @@ def _run(args: argparse.Namespace) -> int:
     if args.cache_dir:
         from repro.compiler.persist import PersistentScheduleStore
         store = PersistentScheduleStore(args.cache_dir)
+    # A pipeline plans residency, which WBUF efficiency decides.
+    cache = ScheduleCache(
+        config,
+        objective="balance" if args.pipeline_devices else "performance",
+        max_entries=args.cache_entries, store=store,
+    )
 
     if args.pipeline_devices > 0:
         service = PipelineService(
             network, config,
             n_devices=args.pipeline_devices,
             n_replicas=args.replicas,
-            store=store,
+            cache=cache,
         )
         shape = (f"{args.replicas} x {service.n_devices}-device "
                  f"pipeline")
     else:
-        from repro.compiler.cache import ScheduleCache
-        cache = ScheduleCache(config, max_entries=args.cache_entries,
-                              store=store)
         service = ReplicaService(
             BatchServiceModel(network, config, cache=cache),
             n_replicas=args.replicas,

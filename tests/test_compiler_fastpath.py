@@ -156,6 +156,37 @@ class TestPersistentStore:
         # the fresh search overwrote the corrupt entry
         assert cache.store.load(layer, config, "performance") is not None
 
+    def test_beams_isolate_entries(self, tmp_path):
+        """A store filled with budget-beam (16/24) searches never serves
+        a default-beam cache: that cache searches, and returns what a
+        fresh default search returns.  A second budget-beam cache
+        loads every entry."""
+        config = OverlayConfig(3, 2, 2)
+        budget = {"spatial_beam": 16, "temporal_beam": 24}
+        filled = ScheduleCache(
+            config, store=PersistentScheduleStore(tmp_path), **budget)
+        for layer in LAYERS:
+            filled.schedule(layer)
+
+        default = ScheduleCache(
+            config, store=PersistentScheduleStore(tmp_path))
+        for layer in LAYERS:
+            fresh = schedule_layer(layer, config)
+            schedule = default.schedule(layer)
+            assert (schedule.mapping, schedule.estimate) == \
+                (fresh.mapping, fresh.estimate)
+        stats = default.stats()
+        assert stats.persistent_hits == 0
+        assert stats.compiles == stats.persistent_stores == len(LAYERS)
+
+        warm = ScheduleCache(
+            config, store=PersistentScheduleStore(tmp_path), **budget)
+        for layer in LAYERS:
+            assert warm.schedule(layer).mapping == \
+                filled.schedule(layer).mapping
+        assert warm.stats().persistent_hits == len(LAYERS)
+        assert warm.stats().compiles == 0
+
     def test_infeasible_trips_detected_not_trusted(self, tmp_path):
         """A tampered mapping is rejected by re-validation, not loaded."""
         store = PersistentScheduleStore(tmp_path)

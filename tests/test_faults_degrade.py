@@ -3,7 +3,9 @@
 import pytest
 
 from repro.cluster import ClusterRouter, build_fleet
-from repro.errors import FaultError, ServingError
+from repro.compiler import cache as cache_module
+from repro.compiler.cache import ScheduleCache
+from repro.errors import FaultError, ScheduleError, ServingError
 from repro.faults import (
     FaultMask,
     degraded_compile,
@@ -75,6 +77,45 @@ class TestDegradedCompile:
         a = degraded_compile(net, tiny_config, mask)
         b = degraded_compile(net, tiny_config, mask)
         assert a == b
+
+    def test_shared_cache_searches_each_grid_once(
+        self, net, tiny_config, monkeypatch
+    ):
+        """Masks sweeping one network through one cache search the
+        healthy grid once and a sub-grid several masks share once, and
+        report what a fresh compile reports."""
+        masks = [
+            FaultMask(),
+            FaultMask.from_coords([(0, 0, 0)]),
+            FaultMask.from_coords([(1, 1, 2)]),
+            FaultMask.from_coords([(0, 1, 1)]),
+        ]
+        fresh = [degraded_compile(net, tiny_config, mask) for mask in masks]
+        searched = []
+
+        class CountingSearch(cache_module.ScheduleSearch):
+            def run(self):
+                searched.append((self.config, self.layer.name))
+                return super().run()
+
+        monkeypatch.setattr(cache_module, "ScheduleSearch", CountingSearch)
+        cache = ScheduleCache(tiny_config)
+        shared = [
+            degraded_compile(net, tiny_config, mask, cache=cache)
+            for mask in masks
+        ]
+        assert shared == fresh
+        grids = {report.degraded.grid for report in shared}
+        assert grids == {(3, 2, 2), (2, 2, 2)}
+        assert len(searched) == len(set(searched)) == 2 * len(grids)
+        assert cache.stats().compiles == len(searched)
+
+    def test_cache_objective_must_match(self, net, tiny_config):
+        with pytest.raises(ScheduleError, match="balance"):
+            degraded_compile(
+                net, tiny_config, FaultMask.from_coords([(0, 0, 0)]),
+                cache=ScheduleCache(tiny_config, objective="balance"),
+            )
 
 
 def ledger(*names: str) -> ClusterRouter:

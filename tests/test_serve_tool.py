@@ -49,10 +49,21 @@ class TestServeTool:
         # One cache summary: the report's own ``schedule cache`` line.
         assert out.count("(bound 2)") == 1
 
+    def test_pipeline_cache_bound(self, capsys):
+        """A pipeline compiles through one schedule cache, so
+        ``--cache-entries`` bounds it as it bounds a replica's."""
+        code = serve.main([
+            "--model", "SmallCNN", "--grid", "3,2,2", "--rate", "500",
+            "--requests", "20", "--cache-entries", "1",
+            "--pipeline-devices", "2",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "pipeline" in out
+        assert out.count("(bound 1)") == 1
+
     @pytest.mark.parametrize("flags, flag", [
         (["--pipeline-devices", "-2"], "--pipeline-devices"),
-        (["--cache-entries", "1", "--pipeline-devices", "2"],
-         "--cache-entries"),
     ])
     def test_inconsistent_flags_rejected(self, capsys, flags, flag):
         code = serve.main([

@@ -171,6 +171,38 @@ class TestPipelineService:
         assert stats.persistent_stores == stats.compiles \
             == len(list(tmp_path.glob("*.json")))
 
+    def test_one_cache_searches_each_key_once(self, monkeypatch):
+        """The plan and every stage compile through one cache keyed by
+        (config, shape): a 3-stage seqLSTM asked for batches 1-8 runs
+        one search per distinct key, 17 in all."""
+        searched = []
+
+        class CountingSearch(cache_module.ScheduleSearch):
+            def run(self):
+                searched.append(
+                    (self.config, cache_module.layer_signature(self.layer))
+                )
+                return super().run()
+
+        monkeypatch.setattr(cache_module, "ScheduleSearch", CountingSearch)
+        svc = PipelineService(
+            build_workload("Sentimental-seqLSTM"), OverlayConfig(3, 2, 2),
+            n_devices=3,
+        )
+        for batch in range(1, 9):
+            svc.occupancy_s(batch)
+        assert len(searched) == len(set(searched)) == 17
+        assert svc.cache_stats().compiles == len(searched)
+        assert all(stage.cache is svc.cache for stage in svc._stages)
+
+    def test_store_and_cache_are_exclusive(self, tiny_config, tmp_path):
+        with pytest.raises(ServingError, match="store"):
+            PipelineService(
+                _net(), tiny_config, n_devices=2,
+                store=PersistentScheduleStore(tmp_path),
+                cache=ScheduleCache(tiny_config, objective="balance"),
+            )
+
     def test_degraded_stage_keeps_stage_objective(self):
         """A degraded stage compiles with its healthy stage's objective
         (``balance`` here), so the slowdown ratio compares like with
