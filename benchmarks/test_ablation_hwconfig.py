@@ -8,6 +8,7 @@ the paper's example configuration sits near the top of the ranking.
 from __future__ import annotations
 
 from conftest import save_artifact
+from repro.compiler.cache import ScheduleCache
 from repro.compiler.hwsearch import search_hardware_config
 from repro.workloads.mlperf import build_model
 
@@ -22,7 +23,8 @@ def test_objective3_grid_sweep(benchmark, paper_config, vu125):
     def sweep():
         return search_hardware_config(
             layer, paper_config, device=vu125,
-            spatial_beam=40, temporal_beam=60,
+            cache=ScheduleCache(paper_config, spatial_beam=40,
+                                temporal_beam=60),
         )
 
     result = benchmark.pedantic(sweep, rounds=1, iterations=1)

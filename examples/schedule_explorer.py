@@ -18,6 +18,7 @@ import argparse
 from repro import PAPER_EXAMPLE_CONFIG, ScheduleSearch, build_model, get_device
 from repro.analysis.ascii_plot import scatter_plot
 from repro.analysis.roofline import ridge_intensity, roofline_points
+from repro.compiler.cache import ScheduleCache
 from repro.compiler.hwsearch import search_hardware_config
 
 
@@ -69,7 +70,7 @@ def main() -> None:
     print("\n--- Objective 3: best grid at 1200 TPEs on the vu125 ---")
     result = search_hardware_config(
         layer, config, device=get_device("vu125"),
-        spatial_beam=40, temporal_beam=60,
+        cache=ScheduleCache(config, spatial_beam=40, temporal_beam=60),
     )
     for grid, schedule in result.ranking[:8]:
         est = schedule.estimate

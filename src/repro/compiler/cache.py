@@ -175,6 +175,12 @@ class ScheduleCache:
     def __len__(self) -> int:
         return len(self._cache)
 
+    @property
+    def steps(self) -> int:
+        """The step clock: work units of every search this cache ran or
+        replayed from the store, failed searches included."""
+        return self._step_base
+
     # ------------------------------------------------------------------ #
     def _insert(self, key: tuple, schedule: Schedule) -> None:
         self._cache[key] = schedule
@@ -250,8 +256,10 @@ class ScheduleCache:
                     step_base=self._step_base,
                     spatial_beam=spatial_beam, temporal_beam=temporal_beam,
                 )
-                schedule = search.run()[0]
-                self._step_base += search.steps
+                try:
+                    schedule = search.run()[0]
+                finally:
+                    self._step_base += search.steps
                 if self.store is not None:
                     self.store.save(schedule, search.steps, self.beams)
                     self.persistent_stores += 1

@@ -1,21 +1,20 @@
 """Objective 3: best hardware configuration at fixed cost (paper §IV-D3).
 
-Given a TPE budget ``D1 * D2 * D3``, enumerate the divisor triples, replay
-the mapping search on each, and return the configuration whose best
-schedule wins.  Device geometry constraints (§III-D) can prune triples
-that no real part could host.
+Given a TPE budget ``D1 * D2 * D3``, enumerate the divisor triples,
+compile the layer on each through one schedule cache, and return the
+configuration whose best schedule wins.  Device geometry constraints
+(§III-D) can prune triples that no real part could host.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.compiler.search import Schedule, ScheduleSearch
+from repro.compiler.cache import ScheduleCache
+from repro.compiler.search import Schedule, rank_key
 from repro.errors import ScheduleError
 from repro.fpga.devices import Device
 from repro.overlay.config import OverlayConfig
-from repro.trace.metrics import MetricsRegistry, as_metrics
-from repro.trace.span import Tracer, as_tracer
 from repro.workloads.layers import ConvLayer, MatMulLayer
 
 AcceleratedLayer = ConvLayer | MatMulLayer
@@ -64,67 +63,54 @@ def search_hardware_config(
     layer: AcceleratedLayer,
     base_config: OverlayConfig,
     device: Device | None = None,
-    objective: str = "performance",
-    spatial_beam: int | None = 80,
-    temporal_beam: int | None = 120,
-    tracer: Tracer | None = None,
-    metrics: MetricsRegistry | None = None,
+    cache: ScheduleCache | None = None,
 ) -> HardwareSearchResult:
     """Find the best (d1, d2, d3) for ``layer`` at the TPE cost of
     ``base_config`` (Objective 3).
 
-    With a ``tracer``, the sweep opens one ``hwsearch:<layer>`` span on
-    the compiler step clock with each grid's mapping search nested under
-    it; ``metrics`` receives ``hwsearch_grids_*`` counters.
+    Each grid compiles through ``cache`` (a fresh one over
+    ``base_config`` when None), which fixes the objective and beams and
+    carries the tracer, metrics and store: a sweep repeated over one
+    cache searches nothing.  Grids rank as search candidates do, by
+    ``(rank_key, enumeration index)``, largest first.  With a tracer,
+    the sweep opens one ``hwsearch:<layer>`` span on the cache's step
+    clock with each grid's mapping search nested under it; the metrics
+    receive ``hwsearch_grids_*`` counters.
 
     Raises:
         ScheduleError: if no grid shape admits a feasible schedule.
     """
-    tracer = as_tracer(tracer)
-    metrics = as_metrics(metrics)
+    if cache is None:
+        cache = ScheduleCache(base_config)
+    tracer, metrics, objective = cache.tracer, cache.metrics, cache.objective
     n_tpe = base_config.n_tpe
-    ranked: list[tuple[tuple[int, int, int], Schedule]] = []
-    step = 0
+    ranked: list[tuple[tuple, tuple[int, int, int], Schedule]] = []
     root = tracer.begin(
-        f"hwsearch:{layer.name}", at=step, track="hwsearch",
+        f"hwsearch:{layer.name}", at=cache.steps, track="hwsearch",
         n_tpe=n_tpe, objective=objective,
     )
     try:
-        for d1, d2, d3 in feasible_grids(n_tpe, device):
-            config = base_config.with_grid(d1, d2, d3)
-            search = ScheduleSearch(
-                layer,
-                config,
-                objective=objective,
-                top_k=1,
-                spatial_beam=spatial_beam,
-                temporal_beam=temporal_beam,
-                tracer=tracer,
-                metrics=metrics,
-                step_base=step,
-            )
+        for index, grid in enumerate(feasible_grids(n_tpe, device)):
             metrics.counter(
                 "hwsearch_grids_evaluated", "grid shapes swept"
             ).inc(objective=objective)
             try:
-                schedule = search.run()[0]
+                schedule = cache.schedule(layer, base_config.with_grid(*grid))
             except ScheduleError:
                 metrics.counter(
                     "hwsearch_grids_infeasible",
                     "grid shapes with no feasible schedule",
                 ).inc(objective=objective)
                 continue
-            finally:
-                step += search.steps
-            ranked.append(((d1, d2, d3), schedule))
+            est = schedule.estimate
+            key = rank_key(objective, est.c_exe, est.e_wbuf, est.score)
+            ranked.append(((*key, index), grid, schedule))
     finally:
-        tracer.end(step, root)
+        tracer.end(cache.steps, root)
     if not ranked:
         raise ScheduleError(
             f"no grid of {n_tpe} TPEs can schedule layer {layer.name!r}"
         )
-    if objective == "performance":
-        ranked.sort(key=lambda item: item[1].estimate.c_exe)
-    else:
-        ranked.sort(key=lambda item: -item[1].estimate.score)
-    return HardwareSearchResult(best=ranked[0][1], ranking=tuple(ranked))
+    ranked.sort(key=lambda item: item[0], reverse=True)
+    ranking = tuple((grid, schedule) for _, grid, schedule in ranked)
+    return HardwareSearchResult(best=ranking[0][1], ranking=ranking)

@@ -32,8 +32,9 @@ float operations of :func:`repro.compiler.model.evaluate_mapping` to
 int64 columns, so every price is bit-identical to the scalar model.
 
 Ranking: every candidate ranks by ``(objective key, evaluation index)``,
-largest first, where the key is ``(-c_exe, e_wbuf)`` for Objective 1 and
-``(score, -c_exe)`` for Objective 2, and the evaluation index counts
+largest first, where the key (:func:`rank_key`) is ``(-c_exe, e_wbuf)``
+for Objective 1 and ``(score, -c_exe)`` for Objective 2, and the
+evaluation index counts
 candidates in spatial-choice order, then combo order.  A later-evaluated
 candidate therefore wins an exact tie, and the top-k list is the sorted
 prefix of that one total order: ``run()[:j]`` of a top-k search is the
@@ -715,10 +716,7 @@ class ScheduleSearch:
                 rows, slot = table.rows(which[lo:hi])
                 choice = lo + slot
             c_exe, e_wbuf, score = self._price(spatials, table, rows, choice)
-            if self.objective == "performance":
-                major, minor = -c_exe, e_wbuf
-            else:
-                major, minor = score, -c_exe
+            major, minor = rank_key(self.objective, c_exe, e_wbuf, score)
             ranked = (major, minor, starts[lo] + np.arange(len(c_exe)))
             if kept is not None:
                 ranked = tuple(map(np.concatenate, zip(kept, ranked)))
@@ -863,6 +861,15 @@ class ScheduleSearch:
             estimate=estimate,
             objective=self.objective,
         )
+
+
+def rank_key(objective: str, c_exe, e_wbuf, score) -> tuple:
+    """The ``(major, minor)`` ranking key of ``objective``, largest
+    first: ``(-c_exe, e_wbuf)`` for Objective 1, ``(score, -c_exe)`` for
+    Objective 2.  Elementwise on scalars or NumPy arrays."""
+    if objective == "performance":
+        return -c_exe, e_wbuf
+    return score, -c_exe
 
 
 def check_count(name: str, value: object, optional: bool = False) -> None:

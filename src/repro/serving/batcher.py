@@ -179,7 +179,6 @@ class BatchServiceModel:
         self,
         network: Network,
         config: OverlayConfig,
-        objective: str = "performance",
         cache: ScheduleCache | None = None,
     ):
         if not network.accelerated_layers():
@@ -190,9 +189,10 @@ class BatchServiceModel:
         self.config = config
         # Explicit None test: a fresh ScheduleCache is empty and falsy.
         if cache is None:
-            cache = ScheduleCache(config, objective=objective)
+            cache = ScheduleCache(config)
         self.cache = cache
         self._costs: dict[int, BatchCost] = {}
+        self._degraded: dict[OverlayConfig, BatchServiceModel] = {}
 
     def cost(self, batch_size: int) -> BatchCost:
         """Service cost of one batch of ``batch_size`` requests."""
@@ -204,6 +204,16 @@ class BatchServiceModel:
 
     def service_s(self, batch_size: int) -> float:
         return self.cost(batch_size).service_s
+
+    def degraded(self, config: OverlayConfig) -> "BatchServiceModel":
+        """This network on the fault-masked sub-grid ``config``, compiled
+        through this model's cache.  Built once per config, so services
+        that share this model (reruns included) share its costs too."""
+        if config not in self._degraded:
+            self._degraded[config] = BatchServiceModel(
+                self.network, config, cache=self.cache
+            )
+        return self._degraded[config]
 
     def _compile(self, batch_size: int) -> BatchCost:
         cycles = 0

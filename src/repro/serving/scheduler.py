@@ -58,9 +58,6 @@ class StagedService:
         self._stages = tuple(stages)
         self._names = tuple(names)
         self.cache = self._stages[0].cache
-        self._degraded: dict[
-            tuple[int, tuple[int, int, int]], BatchServiceModel
-        ] = {}
 
     @property
     def n_replicas(self) -> int:
@@ -103,13 +100,13 @@ class StagedService:
 
         Each stage runs on the largest healthy sub-grid of its overlay
         that avoids the ``masked`` TPEs (the stages share the replica's
-        physical overlay shape), compiled with the search objective of
-        the service's cache.  The inflation of the worst stage is
-        returned: for a pipeline that is the bottleneck approximation
-        (the initiation interval gates throughput), for one stage it is
-        exact.  Each degraded :class:`BatchServiceModel` is compiled
-        once per (stage, sub-grid shape) and memoized; 1.0 = no
-        inflation.
+        physical overlay shape), compiled through the service's schedule
+        cache, so stages that share a degraded (config, shape) search it
+        once.  The inflation of the worst stage is returned: for a
+        pipeline that is the bottleneck approximation (the initiation
+        interval gates throughput), for one stage it is exact.  Each
+        stage builds its degraded model once per sub-grid
+        (:meth:`BatchServiceModel.degraded`); 1.0 = no inflation.
 
         Raises:
             FaultError: if no healthy sub-grid remains.
@@ -118,17 +115,12 @@ class StagedService:
             return 1.0
         mask = FaultMask.from_coords(masked)
         worst = 1.0
-        for index, stage in enumerate(self._stages):
+        for stage in self._stages:
             config = largest_healthy_subgrid(stage.config, mask)
             if config.grid == stage.config.grid:
                 continue
-            key = (index, config.grid)
-            if key not in self._degraded:
-                self._degraded[key] = BatchServiceModel(
-                    stage.network, config, objective=self.cache.objective
-                )
             worst = max(
-                worst, self._degraded[key].service_s(batch_size)
+                worst, stage.degraded(config).service_s(batch_size)
                 / stage.service_s(batch_size)
             )
         return worst

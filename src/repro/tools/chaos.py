@@ -31,7 +31,6 @@ from repro.faults import (
     generate_fault_schedule,
     random_tpe_mask,
 )
-from repro.overlay.config import OverlayConfig
 from repro.serving import (
     AdmissionPolicy,
     BatchPolicy,
@@ -100,9 +99,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _chaos_run(args, network, config: OverlayConfig) -> str:
+def _chaos_run(args, network, cache: ScheduleCache) -> str:
+    config = cache.config
     service = ReplicaService(
-        BatchServiceModel(network, config), n_replicas=args.replicas
+        BatchServiceModel(network, config, cache=cache),
+        n_replicas=args.replicas,
     )
     times = poisson_arrivals(args.rate, args.requests, seed=args.seed)
     deadline_s = (
@@ -157,9 +158,9 @@ def _chaos_run(args, network, config: OverlayConfig) -> str:
 
 
 def _degradation_curve(
-    fractions: tuple[float, ...], network, config: OverlayConfig, seed: int
+    fractions: tuple[float, ...], network, cache: ScheduleCache, seed: int
 ) -> str:
-    cache = ScheduleCache(config)
+    config = cache.config
     lines = [
         "degradation curve (seeded scattered stuck-at TPE masks, "
         "fault-aware recompilation):",
@@ -194,10 +195,13 @@ def _run(args: argparse.Namespace) -> int:
           f"{config.clk_h_mhz:.0f} MHz; {args.rate:g} req/s poisson, "
           f"seed {args.seed}")
     print()
-    print(_chaos_run(args, network, config))
+    # One cache for the run and the curve: the degraded sub-grids the
+    # run's stuck-TPE faults compiled are not searched again.
+    cache = ScheduleCache(config)
+    print(_chaos_run(args, network, cache))
     if fractions:
         print()
-        print(_degradation_curve(fractions, network, config, args.seed))
+        print(_degradation_curve(fractions, network, cache, args.seed))
     return 0
 
 

@@ -25,6 +25,35 @@ class TestGolden:
         out = capsys.readouterr().out
         assert out == GOLDEN.read_text()
 
+    def test_run_and_curve_share_one_cache(self, capsys, monkeypatch):
+        """The chaos run and the degradation curve compile through one
+        cache: 17 searches, one per distinct (config, shape), and the
+        curve's rows are those of a curve with its own cache."""
+        from repro.compiler import cache as cache_module
+
+        searched = []
+
+        class CountingSearch(cache_module.ScheduleSearch):
+            def run(self):
+                searched.append(
+                    (self.config, cache_module.layer_signature(self.layer))
+                )
+                return super().run()
+
+        monkeypatch.setattr(cache_module, "ScheduleSearch", CountingSearch)
+        assert main(GOLDEN_ARGS) == 0
+        assert len(searched) == len(set(searched)) == 17
+        curve = capsys.readouterr().out.split("degradation curve")[1]
+        # Same seed (so same masks), no faults: a cache that holds no
+        # degraded entries when the curve starts.
+        assert main([
+            "--grid", "3,2,2", "--requests", "20", "--seed", "11",
+            "--crash-rate", "0", "--slowdown-rate", "0",
+            "--tpe-fault-rate", "0", "--bitflip-rate", "0",
+            "--link-fault-rate", "0",
+        ]) == 0
+        assert capsys.readouterr().out.split("degradation curve")[1] == curve
+
     def test_bit_identical_across_runs(self, capsys):
         assert main(GOLDEN_ARGS) == 0
         first = capsys.readouterr().out

@@ -5,7 +5,7 @@ import pytest
 from repro.compiler.cache import ScheduleCache, layer_signature
 from repro.compiler.codegen import compile_schedule
 from repro.compiler.hwsearch import feasible_grids, search_hardware_config
-from repro.compiler.search import schedule_layer
+from repro.compiler.search import rank_key, schedule_layer
 from repro.errors import ScheduleError
 from repro.fpga.devices import get_device
 from repro.overlay.config import OverlayConfig
@@ -103,12 +103,42 @@ class TestHardwareSearch:
             s_wbuf_words=256, s_psumbuf_words=512,
         )
         result = search_hardware_config(
-            small_conv, base, spatial_beam=30, temporal_beam=30
+            small_conv, base,
+            cache=ScheduleCache(base, spatial_beam=30, temporal_beam=30),
         )
         assert result.best.config.n_tpe == 16
         cycles = [s.estimate.c_exe for _, s in result.ranking]
         assert cycles == sorted(cycles)
         assert result.best.estimate.c_exe == cycles[0]
+
+    @pytest.mark.parametrize("objective", ["performance", "balance"])
+    def test_objective3_ranks_grids_as_candidates(self, small_mm, objective):
+        """Grids rank by (rank_key, enumeration index), largest first:
+        an exact tie goes to the later grid, as it does for candidates."""
+        base = OverlayConfig(d1=2, d2=2, d3=2)
+        result = search_hardware_config(
+            small_mm, base, cache=ScheduleCache(base, objective=objective)
+        )
+        grids = feasible_grids(base.n_tpe)
+
+        def key(item):
+            est = item[1].estimate
+            return (*rank_key(objective, est.c_exe, est.e_wbuf, est.score),
+                    grids.index(item[0]))
+
+        assert list(result.ranking) == sorted(
+            result.ranking, key=key, reverse=True)
+        assert sorted(grid for grid, _ in result.ranking) == sorted(grids)
+        assert result.best is result.ranking[0][1]
+
+    def test_objective3_tie_goes_to_later_grid(self, small_mm):
+        """(1, 1, 8) and (1, 2, 4) tie at 127 cycles with E_WBUF 1.0 on
+        2x2x2; the later-enumerated (1, 2, 4) wins."""
+        base = OverlayConfig(d1=2, d2=2, d3=2)
+        result = search_hardware_config(small_mm, base)
+        assert [grid for grid, _ in result.ranking[:2]] == [
+            (1, 2, 4), (1, 1, 8)]
+        assert result.best.config.grid == (1, 2, 4)
 
     def test_objective3_at_least_matches_base_grid(self, small_conv):
         """The sweep includes the base grid, so the winner is never worse."""
@@ -121,6 +151,7 @@ class TestHardwareSearch:
             small_conv, base, spatial_beam=30, temporal_beam=30
         ).run()[0]
         result = search_hardware_config(
-            small_conv, base, spatial_beam=30, temporal_beam=30
+            small_conv, base,
+            cache=ScheduleCache(base, spatial_beam=30, temporal_beam=30),
         )
         assert result.best.estimate.c_exe <= base_best.estimate.c_exe

@@ -195,6 +195,33 @@ class TestPipelineService:
         assert svc.cache_stats().compiles == len(searched)
         assert all(stage.cache is svc.cache for stage in svc._stages)
 
+    def test_degraded_stages_share_the_cache(self, monkeypatch):
+        """Degraded stages compile through the service's cache: on the
+        3-stage seqLSTM, stages that share a degraded (config, shape)
+        search it once, 4 searches for batches 1 and 4, and the
+        slowdowns are those of per-stage caches."""
+        svc = PipelineService(
+            build_workload("Sentimental-seqLSTM"), OverlayConfig(3, 2, 2),
+            n_devices=3,
+        )
+        svc.latency_s(1)
+        svc.latency_s(4)
+        compiles = svc.cache_stats().compiles
+        searched = []
+
+        class CountingSearch(cache_module.ScheduleSearch):
+            def run(self):
+                searched.append(
+                    (self.config, cache_module.layer_signature(self.layer))
+                )
+                return super().run()
+
+        monkeypatch.setattr(cache_module, "ScheduleSearch", CountingSearch)
+        slowdowns = [svc.degrade_slowdown([(0, 0, 0)], b) for b in (1, 4)]
+        assert slowdowns == [1.496379832582841, 1.4889737839181614]
+        assert len(searched) == len(set(searched)) == 4
+        assert svc.cache_stats().compiles == compiles + 4
+
     def test_store_and_cache_are_exclusive(self, tiny_config, tmp_path):
         with pytest.raises(ServingError, match="store"):
             PipelineService(
@@ -211,11 +238,11 @@ class TestPipelineService:
         svc = PipelineService(build_smallcnn(), config, n_devices=1)
         (stage,) = svc._stages
         assert stage.cache.objective == "balance"
+        degraded_config = largest_healthy_subgrid(
+            stage.config, FaultMask.from_coords([(0, 0, 0)]))
         degraded = BatchServiceModel(
-            stage.network,
-            largest_healthy_subgrid(
-                stage.config, FaultMask.from_coords([(0, 0, 0)])),
-            objective="balance",
+            stage.network, degraded_config,
+            cache=ScheduleCache(degraded_config, objective="balance"),
         )
         slowdown = svc.degrade_slowdown([(0, 0, 0)], 4)
         assert slowdown == degraded.service_s(4) / stage.service_s(4)

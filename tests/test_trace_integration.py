@@ -122,9 +122,8 @@ class TestCacheAndHwsearchTracing:
         config = OverlayConfig(d1=2, d2=2, d3=2)
         tracer = Tracer(unit="step")
         registry = MetricsRegistry()
-        result = search_hardware_config(
-            small_mm, config, tracer=tracer, metrics=registry
-        )
+        cache = ScheduleCache(config, tracer=tracer, metrics=registry)
+        result = search_hardware_config(small_mm, config, cache=cache)
         assert result.best is not None
         assert tracer.validate() == []
         root = next(tracer.find(f"hwsearch:{small_mm.name}"))
@@ -135,6 +134,31 @@ class TestCacheAndHwsearchTracing:
         # One nested search span per grid that got as far as running.
         assert len(children) == n_grids
         assert all(c.name == f"search:{small_mm.name}" for c in children)
+        # The sweep's span runs on the cache's step clock.
+        assert (root.start, root.end) == (0, cache.steps)
+
+    def test_hwsearch_sweep_repeated_over_one_cache_searches_nothing(
+        self, small_mm, monkeypatch
+    ):
+        from repro.compiler import cache as cache_module
+        from repro.overlay.config import OverlayConfig
+
+        config = OverlayConfig(d1=2, d2=2, d3=2)
+        cache = ScheduleCache(config)
+        first = search_hardware_config(small_mm, config, cache=cache)
+        searched = []
+
+        class CountingSearch(cache_module.ScheduleSearch):
+            def run(self):
+                searched.append(self.config.grid)
+                return super().run()
+
+        monkeypatch.setattr(cache_module, "ScheduleSearch", CountingSearch)
+        steps = cache.steps
+        second = search_hardware_config(small_mm, config, cache=cache)
+        assert searched == []
+        assert cache.steps == steps
+        assert second == first
 
 
 def _chaos(seed, tracer=None, metrics=None):
