@@ -12,7 +12,6 @@ from repro.overlay.resources import ResourceReport, resource_report
 from repro.overlay.tpe import TPE
 from repro.overlay.superblock import SuperBlock
 from repro.overlay.buses import BusModel
-from repro.overlay.controller import Controller
 
 __all__ = [
     "OverlayConfig",
@@ -26,5 +25,4 @@ __all__ = [
     "TPE",
     "SuperBlock",
     "BusModel",
-    "Controller",
 ]

@@ -1,11 +1,9 @@
-"""Bus occupancy model and controller phase expansion."""
+"""Bus occupancy model."""
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.overlay.buses import BusModel
-from repro.overlay.controller import Controller
-from repro.overlay.isa import Instruction, OpKind
 
 
 class TestBusModel:
@@ -52,42 +50,3 @@ class TestBusModel:
         assert bus.utilization(100) == pytest.approx(0.25)
         assert bus.utilization(0) == 0.0
 
-
-class TestController:
-    def test_phase_stream_matches_listing1(self):
-        """List 1: psum update per X, act update + T compute per L."""
-        inst = Instruction(
-            op=OpKind.COMPUTE, x=2, l=3, t=7,
-            act_tile_words=10, psum_tile_words=4,
-        )
-        phases = list(Controller(inst).phases())
-        kinds = [p.kind for p in phases]
-        expected_per_x = ["psum_update"] + ["act_update", "compute"] * 3
-        assert kinds == expected_per_x * 2
-
-    def test_compute_phase_durations(self):
-        inst = Instruction(op=OpKind.COMPUTE, x=1, l=2, t=9, act_tile_words=5)
-        computes = [p for p in Controller(inst).phases() if p.kind == "compute"]
-        assert all(p.cycles == 9 for p in computes)
-        assert len(computes) == 2
-
-    def test_update_words(self):
-        inst = Instruction(
-            op=OpKind.COMPUTE, x=1, l=1, t=1,
-            act_tile_words=11, psum_tile_words=22,
-        )
-        phases = list(Controller(inst).phases())
-        assert phases[0].words == 22  # psum update
-        assert phases[1].words == 11  # act update
-
-    def test_non_compute_rejected(self):
-        controller = Controller(Instruction(op=OpKind.LOAD_WEIGHT, t=16))
-        with pytest.raises(SimulationError, match="COMPUTE"):
-            list(controller.phases())
-
-    def test_total_compute_cycles(self):
-        inst = Instruction(op=OpKind.COMPUTE, x=3, l=4, t=5)
-        total = sum(
-            p.cycles for p in Controller(inst).phases() if p.kind == "compute"
-        )
-        assert total == inst.total_macc_cycles
