@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import prod
 
+import numpy as np
+
 from repro.errors import MappingError
 
 #: Hardware loop levels, outermost-significance first (paper Fig. 4).
@@ -125,32 +127,34 @@ class MappingVectors:
     # ------------------------------------------------------------------ #
     # index math (Eqns 1-5)
     # ------------------------------------------------------------------ #
-    def decompose_level_index(self, level: str, index: int) -> dict[str, int]:
+    def decompose_level_index(self, level: str, index):
         """Split a flat hardware index into per-loop sub-indices.
 
         Mixed-radix decomposition in ``loop_names`` order, first loop most
-        significant.
+        significant.  ``index`` is an int or a NumPy integer array (each
+        sub-index then has its shape).
         """
         size = self.level_product(level)
-        if not 0 <= index < size:
+        inside = (0 <= index) & (index < size)
+        if not (inside.all() if isinstance(inside, np.ndarray) else inside):
             raise MappingError(
                 f"index {index} out of range for level {level} (size {size})"
             )
-        sub: dict[str, int] = {}
+        sub = {}
         for name in reversed(self.loop_names):
             radix = self.trips[level][name]
             sub[name] = index % radix
-            index //= radix
+            index = index // radix
         return sub
 
-    def workload_indices(
-        self, d3: int, d2: int, d1: int, x: int, l: int, t: int
-    ) -> tuple[int, ...]:
+    def workload_indices(self, d3, d2, d1, x, l, t) -> tuple:
         """Map one hardware iteration to its workload indices (Eqn 1).
 
         Returns one index per workload loop, in ``loop_names`` order.
         Indices may land in the padded region (>= the true trip count);
-        the caller treats those as invalid computation.
+        the caller treats those as invalid computation.  The six indices
+        may be ints or NumPy integer arrays that broadcast together; the
+        workload indices then have the broadcast shape.
         """
         hw_index = dict(zip(HW_LEVELS, (d3, d2, d1, x, l, t)))
         subs = {

@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
@@ -149,17 +150,23 @@ def test_bijection_property(trips):
         for j, level in enumerate(HW_LEVELS)
     }
     mapping = MappingVectors.from_partial(names, partial)
-    ranges = [range(mapping.level_product(level)) for level in HW_LEVELS]
     padded = mapping.padded_sizes()
     sizes = [padded[name] for name in mapping.loop_names]
-    # One byte per slot of the flat padded index space: a Python set of
-    # index tuples costs ~120 bytes per tuple at the largest draws.
-    seen = bytearray(math.prod(sizes))
-    for hw_tuple in itertools.product(*ranges):
+    n_slots = math.prod(sizes)
+    # As many hardware tuples as padded slots, so hitting every slot
+    # means hitting each exactly once.
+    assert math.prod(map(mapping.level_product, HW_LEVELS)) == n_slots
+    # Index arrays over the five inner levels that broadcast to their
+    # whole space; one chunk per D3 index bounds the arrays held at once.
+    inner = np.ix_(*(
+        np.arange(mapping.level_product(level)) for level in HW_LEVELS[1:]
+    ))
+    seen = np.zeros(n_slots, dtype=bool)
+    for d3 in range(mapping.level_product("D3")):
         flat = 0
-        for value, size in zip(mapping.workload_indices(*hw_tuple), sizes):
-            assert 0 <= value < size
+        for value, size in zip(mapping.workload_indices(d3, *inner), sizes):
+            assert ((0 <= value) & (value < size)).all()
             flat = flat * size + value
-        assert not seen[flat], f"duplicate workload index for {hw_tuple}"
-        seen[flat] = 1
-    assert seen.count(0) == 0
+        assert not seen[flat].any(), f"duplicate workload index at d3={d3}"
+        seen[flat] = True
+    assert seen.all()
