@@ -34,13 +34,12 @@ int64 columns, so every price is bit-identical to the scalar model.
 Ranking: every candidate ranks by ``(objective key, evaluation index)``,
 largest first, where the key (:func:`rank_key`) is ``(-c_exe, e_wbuf)``
 for Objective 1 and ``(score, -c_exe)`` for Objective 2, and the
-evaluation index counts
-candidates in spatial-choice order, then combo order.  A later-evaluated
-candidate therefore wins an exact tie, and the top-k list is the sorted
-prefix of that one total order: ``run()[:j]`` of a top-k search is the
-top-j search's result.  The winners are re-materialized as full
-:class:`MappingVectors` and re-priced by the authoritative model, which
-also re-checks every constraint.
+evaluation index counts candidates in spatial-choice order, then combo
+order.  A later-evaluated candidate therefore wins an exact tie, and the
+top-k list is the sorted prefix of that one total order: ``run()[:j]``
+of a top-k search is the top-j search's result.  The winners are
+re-materialized as full :class:`MappingVectors` and re-priced by the
+authoritative model, which also re-checks every constraint.
 """
 
 from __future__ import annotations
